@@ -1,0 +1,46 @@
+"""patterson_decode on syndromes that fail and on syndromes that decode.
+
+Retry signing spends almost all its decoder time on failing syndromes
+(about 1 - 1/t! of them) and stops at the split test; single-decode
+signing and the census's hits take the decodable path, which goes on to
+scan the support for the roots.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from cfslab.goppa import goppa_keygen, patterson_decode
+from cfslab.linalg import BitVector, mat_vec
+
+PARAMS = [(5, 3), (10, 4)]
+BATCH = 64
+
+
+def _syndromes(m, t, decodable):
+    rng = random.Random(1000 * m + t)
+    code = goppa_keygen(m, t, rng)
+    r = code.n_minus_k
+    out = []
+    while len(out) < BATCH:
+        if decodable:
+            e = BitVector.from_indices(code.n, rng.sample(range(code.n), t))
+            out.append((mat_vec(code.h, e), e))
+        else:
+            s = BitVector(r, rng.getrandbits(r))
+            if patterson_decode(code, s) is None:
+                out.append((s, None))
+    return code, out
+
+
+@pytest.mark.parametrize("outcome", ["fail", "decode"])
+@pytest.mark.parametrize("m,t", PARAMS, ids=[f"m{m}t{t}" for m, t in PARAMS])
+def test_patterson_decode(benchmark, m, t, outcome):
+    code, cases = _syndromes(m, t, decodable=outcome == "decode")
+    benchmark.group = f"patterson_decode m={m},t={t}"
+    benchmark.extra_info["syndromes"] = len(cases)
+    syndromes = itertools.cycle([s for s, _ in cases])
+    benchmark(lambda: patterson_decode(code, next(syndromes)))
+    for s, expected in cases:
+        assert patterson_decode(code, s) == expected

@@ -293,6 +293,65 @@ def poly_sqrt_mod_g(f: Poly, g: Poly, sqrt_x: Poly | None = None) -> Poly:
     return (even + sqrt_x * odd) % g
 
 
+def poly_roots(f: Poly, points) -> list[int] | None:
+    """Positions i, in increasing order, with f(points[i]) == 0; or None
+    when f cannot have deg f distinct roots in GF(2^m).
+
+    The split test comes first: f has deg f distinct roots in the field iff
+    f divides x^(2^m) - x, i.e. iff x^(2^m) == x (mod f), which takes m
+    squarings mod f.  Only a splitting f is evaluated at the points, by
+    Horner's rule in the log domain, and the scan stops at the deg f-th
+    root.  The zero polynomial is never split.  Arithmetic runs on the
+    exp/log tables directly: f's coefficients were checked when f was
+    built, and the points must be field elements (a code support is).
+    """
+    field = f.field
+    exp, log = field._exp, field._log
+    d = f.degree
+    if d < 0:
+        return None
+    if d == 0:
+        return []
+    # monic copy of f; exp[] is long enough to index with a sum of two logs
+    inv_lead = field.order - 1 - log[f.coeffs[-1]]
+    mon = [exp[log[c] + inv_lead] if c else 0 for c in f.coeffs]
+    if d >= 2:
+        # (j, log f_j) for the nonzero terms below the leading one
+        low = [(j, log[c]) for j, c in enumerate(mon[:-1]) if c]
+        x_mod_f = [0, 1] + [0] * (d - 2)
+        h = x_mod_f
+        for _ in range(field.m):
+            sq = [0] * (2 * d - 1)
+            for i, c in enumerate(h):
+                if c:
+                    sq[2 * i] = exp[2 * log[c]]
+            for k in range(2 * d - 2, d - 1, -1):
+                c = sq[k]
+                if c:
+                    lc = log[c]
+                    base = k - d
+                    for j, lj in low:
+                        sq[base + j] ^= exp[lc + lj]
+            h = sq[:d]
+        if h != x_mod_f:
+            return None
+    rest = mon[-2::-1]  # coefficients below the leading 1, highest first
+    roots = []
+    for i, p in enumerate(points):
+        if p:
+            lp = log[p]
+            acc = 1
+            for c in rest:
+                acc = exp[log[acc] + lp] ^ c if acc else c
+        else:
+            acc = mon[0]
+        if not acc:
+            roots.append(i)
+            if len(roots) == d:
+                break
+    return roots
+
+
 def partial_euclid(a: Poly, b: Poly, stop_deg: int) -> tuple[Poly, Poly]:
     """Extended Euclid on (a, b) stopped at the given remainder degree.
 

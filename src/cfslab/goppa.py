@@ -14,7 +14,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadParameters, CensusInfeasible, DimensionError
-from .gf2m import GF2m, Poly, poly_gcd, poly_mod_inv, poly_sqrt_mod_g, partial_euclid, sqrt_x_mod
+from .gf2m import (
+    GF2m,
+    Poly,
+    partial_euclid,
+    poly_gcd,
+    poly_mod_inv,
+    poly_roots,
+    poly_sqrt_mod_g,
+    sqrt_x_mod,
+)
 from .linalg import BitMatrix, BitVector, mat_vec, rank
 from .metering import tick_decode
 
@@ -128,6 +137,12 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector | None:
     counter-based signing.  A successful result always satisfies both the
     weight bound and H * e = s (re-checked before returning, so a syndrome
     without a low-weight preimage can never be reported as decodable).
+
+    The error locator sigma is tested for splitting before any root search:
+    unless x^(2^m) == x (mod sigma) it has fewer than deg sigma distinct
+    roots in the field, so the syndrome fails after m squarings mod sigma,
+    without touching the support.  A locator that splits is evaluated over
+    the support only until deg sigma roots are found (`poly_roots`).
     """
     if s.n != code.n_minus_k:
         raise DimensionError("syndrome length mismatch")
@@ -147,8 +162,8 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector | None:
         tau = poly_sqrt_mod_g(t_poly + x, g, code._sqrt_x)
         u, v = partial_euclid(g, tau, t // 2)
         locator = u * u + x * (v * v)
-    roots = [i for i, xi in enumerate(code.support) if locator.eval(xi) == 0]
-    if len(roots) != locator.degree:
+    roots = poly_roots(locator, code.support)
+    if roots is None or len(roots) != locator.degree:
         return None
     e = BitVector.from_indices(code.n, roots)
     if e.weight > t or mat_vec(code.h, e) != s:

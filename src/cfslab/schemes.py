@@ -38,8 +38,18 @@ GENERIC_HASHES = {"sha256": digest_bits}
 DEFAULT_ATTEMPT_CAP = 1 << 20
 
 
+_COUNTER_BYTES = 8
+_COUNTER_LIMIT = 1 << (8 * _COUNTER_BYTES)
+
+
 def _counter_bytes(value: int) -> bytes:
-    return value.to_bytes(8, "big")
+    return value.to_bytes(_COUNTER_BYTES, "big")
+
+
+def _encodable_counter(value) -> bool:
+    """Whether a signature's counter or nonce fits the hashed field; the
+    verifiers reject any other value instead of raising."""
+    return isinstance(value, int) and 0 <= value < _COUNTER_LIMIT
 
 
 def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") -> BitVector:
@@ -131,6 +141,8 @@ def cfs_sign(msg: bytes, sk: CfsSecretKey, max_attempts: int = DEFAULT_ATTEMPT_C
 
 
 def cfs_verify(msg: bytes, sig: CfsSignature, pk: CfsPublicKey) -> bool:
+    if not _encodable_counter(sig.counter):
+        return False
     if sig.error.n != pk.h_pub.cols or sig.error.weight > pk.t:
         return False
     a = message_hash(msg, sig.counter, pk.h_pub.rows, pk.hash_id)
@@ -151,6 +163,8 @@ def mcfs_sign(
 
 
 def mcfs_verify(msg: bytes, sig: McfsSignature, pk: CfsPublicKey) -> bool:
+    if not _encodable_counter(sig.nonce):
+        return False
     if sig.error.n != pk.h_pub.cols or sig.error.weight > pk.t:
         return False
     a = message_hash(msg, sig.nonce, pk.h_pub.rows, pk.hash_id)
@@ -222,6 +236,8 @@ def mcfsc_sign(msg: bytes, sk: McfscSecretKey, rng) -> McfsSignature:
 
 
 def mcfsc_verify(msg: bytes, sig: McfsSignature, pk: McfscPublicKey) -> bool:
+    if not _encodable_counter(sig.nonce):
+        return False
     if sig.error.n != pk.h_pub.cols or sig.error.weight > pk.t:
         return False
     a = chained_digest(msg, sig.nonce, pk.cfg)

@@ -35,6 +35,19 @@ def test_verify_fails_on_tampered_signature(tmp_path):
     assert run(["verify", "--pk", pk, "--msg-hex", "0a0c", "--sig", sig]) == 1
 
 
+@pytest.mark.parametrize("scheme,field", [("cfs", "counter"), ("mcfs", "nonce"), ("mcfsc", "nonce")])
+@pytest.mark.parametrize("value", ["-5", str(1 << 64)])
+def test_verify_unencodable_counter_is_invalid(tmp_path, scheme, field, value):
+    sk, pk = keygen(tmp_path, scheme=scheme)
+    (sig,) = _paths(tmp_path, "sig.txt")
+    assert run(["sign", "--sk", sk, "--msg-hex", "0a0b", "--sig", sig, "--seed", "8"]) == 0
+    lines = (tmp_path / "sig.txt").read_text().splitlines()
+    assert any(ln.startswith(field + " ") for ln in lines)
+    lines = [f"{field} {value}" if ln.startswith(field + " ") else ln for ln in lines]
+    (tmp_path / "sig.txt").write_text("\n".join(lines) + "\n")
+    assert run(["verify", "--pk", pk, "--msg-hex", "0a0b", "--sig", sig]) == 1
+
+
 def _last_json(capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
     return json.loads(lines[-1])

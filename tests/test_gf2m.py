@@ -3,7 +3,16 @@ import random
 import pytest
 
 from cfslab.errors import DegenerateSyndrome, InversionOfZero, NotInvertible
-from cfslab.gf2m import GF2m, Poly, partial_euclid, poly_gcd, poly_mod_inv, poly_sqrt_mod_g, sqrt_x_mod
+from cfslab.gf2m import (
+    GF2m,
+    Poly,
+    partial_euclid,
+    poly_gcd,
+    poly_mod_inv,
+    poly_roots,
+    poly_sqrt_mod_g,
+    sqrt_x_mod,
+)
 
 
 F16 = GF2m(4)
@@ -179,3 +188,89 @@ def test_poly_gcd_normalizes_monic():
     assert d.coeffs[-1] == 1
     assert a % d == Poly.zero(F16)
     assert b % d == Poly.zero(F16)
+
+
+# --- poly_roots: split test plus early-exit scan, against brute force ------
+
+
+def brute_roots(f, points):
+    return [i for i, p in enumerate(points) if f.eval(p) == 0]
+
+
+def product_of_linears(field, roots):
+    f = Poly.one(field)
+    for a in roots:
+        f = f * Poly(field, (a, 1))
+    return f
+
+
+def check_against_brute_force(f, points):
+    """poly_roots agrees with Poly.eval over the points, and declines (None)
+    exactly when f lacks deg f distinct roots in the whole field."""
+    found = poly_roots(f, points)
+    splits = len(brute_roots(f, list(f.field.elements()))) == f.degree
+    if splits:
+        assert found == brute_roots(f, points)
+    else:
+        assert found is None
+        assert len(brute_roots(f, points)) != f.degree
+    return found
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
+def test_poly_roots_random_polys_match_brute_force(m):
+    field = GF2m(m)
+    rng = random.Random(40 + m)
+    points = list(field.elements())
+    rng.shuffle(points)
+    for _ in range(300):
+        check_against_brute_force(random_poly(field, rng.randrange(0, 6), rng), points)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6, 8, 10])
+def test_poly_roots_split_locators_match_brute_force(m):
+    field = GF2m(m)
+    rng = random.Random(50 + m)
+    points = list(field.elements())
+    rng.shuffle(points)
+    for _ in range(100):
+        roots = rng.sample(points, rng.randrange(1, 6))
+        f = product_of_linears(field, roots).scale(rng.randrange(1, field.order))
+        found = check_against_brute_force(f, points)
+        assert sorted(points[i] for i in found) == sorted(roots)
+
+
+def test_poly_roots_distinct_linear_factors():
+    f = product_of_linears(F16, (0, 3, 9, 14))
+    points = list(range(16))
+    assert poly_roots(f, points) == [0, 3, 9, 14]
+    assert poly_roots(f, points[::-1]) == [1, 6, 12, 15]  # positions, not values
+
+
+def test_poly_roots_repeated_root_does_not_split():
+    f = product_of_linears(F16, (5, 5, 7))
+    assert len(brute_roots(f, range(16))) == 2
+    assert poly_roots(f, range(16)) is None
+
+
+def test_poly_roots_irreducible_quadratic_does_not_split():
+    f = irreducible_g(F16, 2, seed=11)
+    assert brute_roots(f, range(16)) == []
+    assert poly_roots(f, range(16)) is None
+
+
+def test_poly_roots_degree_zero_and_one():
+    assert poly_roots(Poly(F16, (9,)), range(16)) == []
+    assert poly_roots(Poly.zero(F16), range(16)) is None
+    for a in range(16):
+        f = Poly(F16, (a, 1)).scale(7)
+        assert poly_roots(f, range(16)) == [a]
+        assert poly_roots(f, [b for b in range(16) if b != a]) == []
+
+
+def test_poly_roots_root_outside_points():
+    # splits in the field, so the points are scanned, but one root is missing
+    f = product_of_linears(F16, (2, 4, 8))
+    points = [a for a in range(16) if a != 4]
+    found = poly_roots(f, points)
+    assert found == brute_roots(f, points) == [2, 7]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cfslab.errors import BadParameters, CensusInfeasible, DimensionError
-from cfslab.gf2m import GF2m, Poly
+from cfslab.gf2m import GF2m, Poly, partial_euclid, poly_mod_inv, poly_roots, poly_sqrt_mod_g
 from cfslab.goppa import GoppaCode, decodable_census, goppa_keygen, patterson_decode
 from cfslab.linalg import BitVector, kernel_basis, mat_vec, rank
 
@@ -147,3 +147,85 @@ def test_census_record_fields(code_t2):
     assert set(d) == {
         "m", "t", "n", "decodable", "total", "ratio", "closed_form", "t_factorial_approx",
     }
+
+
+# --- the decoder against a brute-force root scan ---------------------------
+
+
+def reference_locator(code, s):
+    """Patterson's error locator for a nonzero syndrome, step by step."""
+    x = Poly.x(code.field)
+    t_poly = poly_mod_inv(code._syndrome_poly(s), code.g)
+    if t_poly == x:
+        return x
+    tau = poly_sqrt_mod_g(t_poly + x, code.g, code._sqrt_x)
+    u, v = partial_euclid(code.g, tau, code.t // 2)
+    return u * u + x * (v * v)
+
+
+def reference_decode(code, s):
+    """patterson_decode with the root search done by Poly.eval at every
+    support point, as it was before the split test."""
+    if s.is_zero():
+        return BitVector.zeros(code.n)
+    locator = reference_locator(code, s)
+    roots = [i for i, xi in enumerate(code.support) if locator.eval(xi) == 0]
+    if len(roots) != locator.degree:
+        return None
+    e = BitVector.from_indices(code.n, roots)
+    if e.weight > code.t or mat_vec(code.h, e) != s:
+        return None
+    return e
+
+
+@pytest.mark.parametrize(
+    "m,t,count", [(4, 2, 400), (5, 3, 400), (6, 3, 300), (6, 4, 300), (8, 4, 100), (10, 4, 40)]
+)
+def test_decode_matches_brute_force_root_scan(m, t, count):
+    rng = random.Random(1000 + 17 * m + t)
+    code = goppa_keygen(m, t, rng)
+    r = code.n_minus_k
+    decoded = 0
+    for k in range(count):
+        if k % 2:
+            s = BitVector(r, rng.getrandbits(r))
+        else:
+            e = BitVector.from_indices(code.n, rng.sample(range(code.n), rng.randrange(t + 1)))
+            s = mat_vec(code.h, e)
+        got = patterson_decode(code, s)
+        assert got == reference_decode(code, s)
+        decoded += got is not None
+        if not s.is_zero():
+            locator = reference_locator(code, s)
+            found = poly_roots(locator, code.support)
+            if found is not None:
+                assert found == [i for i, xi in enumerate(code.support) if locator.eval(xi) == 0]
+    assert decoded >= count // 2  # every weight-<=t syndrome decodes
+
+
+def test_decode_support_subset_root_outside_support():
+    # A code whose support omits part of the field: a syndrome of an error
+    # at an omitted element has a locator that splits in GF(2^m) but has a
+    # root outside the support, so the scan runs and comes up one root short.
+    field = GF2m(5)
+    g = goppa_keygen(5, 3, random.Random(1100)).g
+    elements = list(field.elements())
+    random.Random(1101).shuffle(elements)
+    subset, omitted = elements[:24], elements[24:]
+    full = GoppaCode.build(field, g, subset + omitted)
+    part = GoppaCode.build(field, g, subset)
+    assert part.n == 24 and part.n_minus_k == full.n_minus_k
+    rng = random.Random(1102)
+    for _ in range(100):
+        inside = rng.sample(range(24), rng.randrange(0, 3))
+        outside = rng.sample(range(24, 32), 1)
+        s = full.syndrome_of(BitVector.from_indices(32, inside + outside))
+        locator = reference_locator(part, s)
+        assert locator.degree == len(inside) + 1
+        roots = poly_roots(locator, part.support)
+        assert roots is not None and sorted(roots) == sorted(inside)
+        assert patterson_decode(part, s) is None
+        assert reference_decode(part, s) is None
+    for _ in range(100):
+        e = BitVector.from_indices(24, rng.sample(range(24), rng.randrange(0, 4)))
+        assert patterson_decode(part, part.syndrome_of(e)) == e

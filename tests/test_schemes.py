@@ -11,6 +11,7 @@ from cfslab.schemes import (
     CfsSignature,
     McfsSignature,
     TildeSignature,
+    chained_digest,
     cfs_keygen,
     cfs_keys_from_parts,
     cfs_sign,
@@ -288,6 +289,51 @@ def test_weight_gate_all_four_verifiers(cfs_keys, mcfsc_keys, tilde_keys):
     assert not mcfs_verify(b"m", McfsSignature(1, heavy), cpk)
     assert not mcfsc_verify(b"m", McfsSignature(1, heavy), mpk)
     assert not tilde_verify(b"m", TildeSignature(heavy), tpk)
+
+
+# counters and nonces the 8-byte hashed field cannot hold, plus non-integers
+UNENCODABLE_COUNTERS = [-5, -1, 1 << 64, (1 << 64) + 5, 1 << 100, 1.0, "7", None]
+
+
+@pytest.mark.parametrize("counter", UNENCODABLE_COUNTERS)
+def test_cfs_verify_rejects_unencodable_counter(cfs_keys, counter):
+    sk, pk = cfs_keys
+    sig = cfs_sign(b"total", sk)
+    assert cfs_verify(b"total", sig, pk)
+    assert cfs_verify(b"total", CfsSignature(counter, sig.error), pk) is False
+
+
+@pytest.mark.parametrize("nonce", UNENCODABLE_COUNTERS)
+def test_mcfs_verify_rejects_unencodable_nonce(cfs_keys, nonce):
+    sk, pk = cfs_keys
+    sig = mcfs_sign(b"total", sk, random.Random(317))
+    assert mcfs_verify(b"total", sig, pk)
+    assert mcfs_verify(b"total", McfsSignature(nonce, sig.error), pk) is False
+
+
+@pytest.mark.parametrize("nonce", UNENCODABLE_COUNTERS)
+def test_mcfsc_verify_rejects_unencodable_nonce(mcfsc_keys, nonce):
+    sk, pk = mcfsc_keys
+    sig = mcfsc_sign(b"total", sk, random.Random(318))
+    assert mcfsc_verify(b"total", sig, pk)
+    assert mcfsc_verify(b"total", McfsSignature(nonce, sig.error), pk) is False
+
+
+def test_largest_encodable_counter_verifies(cfs_keys, mcfsc_keys):
+    top = (1 << 64) - 1
+    sk, pk = cfs_keys
+    for i in range(1000):  # about 1 in t! = 6 digests decodes
+        msg = b"top %d" % i
+        digest = message_hash(msg, top, pk.h_pub.rows)
+        e = patterson_decode(sk.code, mat_vec(sk.scrambler_inv, digest))
+        if e is not None:
+            break
+    error = sk.perm.apply(e)
+    assert cfs_verify(msg, CfsSignature(top, error), pk)
+    assert mcfs_verify(msg, McfsSignature(top, error), pk)
+    msk, mpk = mcfsc_keys
+    e = patterson_decode(msk.code, chained_digest(b"top", top, mpk.cfg))
+    assert mcfsc_verify(b"top", McfsSignature(top, msk.perm.apply(e)), mpk)
 
 
 def test_scrambler_inverse_consistency(tilde_keys):
