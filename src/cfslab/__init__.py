@@ -23,7 +23,6 @@ from .linalg import (
     BitMatrix,
     BitVector,
     Permutation,
-    gaussian_solve,
     inverse,
     kernel_basis,
     mat_mul,
@@ -68,10 +67,8 @@ from .schemes import (
     tilde_verify,
 )
 from .attacks import (
-    CostReport,
     Forgery,
     PermutationRecovery,
-    attack_cost_report,
     forge_mcfsc,
     forge_tilde,
     recover_permutation,

@@ -22,13 +22,15 @@ from .errors import NoPermutationError, WeightBoundViolation
 from .linalg import BitMatrix, Permutation
 from .metering import OperationCount, count_operations
 from .schemes import (
+    SCHEMES,
     McfscPublicKey,
     McfsSignature,
     TildePublicKey,
     TildeSignature,
+    _counter_bytes,
+    draw_nonce,
     tilde_encoder,
     tilde_inner_hash,
-    _counter_bytes,
 )
 
 
@@ -37,6 +39,7 @@ class Forgery:
     message: bytes
     signature: object
     cost: OperationCount
+    r: int  # n-k of the attacked key, which sets the width of a hashed nonce
 
 
 def forge_mcfsc(msg: bytes, pk: McfscPublicKey, rng) -> Forgery:
@@ -49,11 +52,11 @@ def forge_mcfsc(msg: bytes, pk: McfscPublicKey, rng) -> Forgery:
     cheaper than honest signing, and decode-free.
     """
     with count_operations() as cost:
-        nonce = rng.randrange(1, (1 << pk.r) + 1)
+        nonce = draw_nonce(rng, pk.r)
         inner = md_hash(msg, pk.cfg)
-        state = md_final_state(inner.to_bytes() + _counter_bytes(nonce), pk.cfg)
+        state = md_final_state(inner.to_bytes() + _counter_bytes(nonce, pk.r), pk.cfg)
         error = regular_word(state, pk.cfg)
-    return Forgery(msg, McfsSignature(nonce, error), cost)
+    return Forgery(msg, McfsSignature(nonce, error), cost, pk.r)
 
 
 def forge_tilde(msg: bytes, pk: TildePublicKey) -> Forgery:
@@ -72,7 +75,11 @@ def forge_tilde(msg: bytes, pk: TildePublicKey) -> Forgery:
             raise WeightBoundViolation(
                 f"encoder {encoder.name!r} produced weight {word.weight}"
             )
-    return Forgery(msg, TildeSignature(word), cost)
+    return Forgery(msg, TildeSignature(word), cost, pk.h_pub.rows)
+
+
+# scheme name -> forger(msg, pk, rng); cfs and mcfs have none
+FORGERS = {"mcfsc": forge_mcfsc, "tilde": lambda msg, pk, rng: forge_tilde(msg, pk)}
 
 
 @dataclass(frozen=True)
@@ -114,48 +121,15 @@ def recover_permutation(h: BitMatrix, h_pub: BitMatrix) -> PermutationRecovery:
     return PermutationRecovery(Permutation(mapping), ambiguous, comparisons)
 
 
-@dataclass(frozen=True)
-class CostReport:
-    """Side-by-side operation counts for an honest signer and a forger."""
-
-    honest: OperationCount
-    forged: OperationCount
-
-    @property
-    def not_worse(self) -> dict:
-        return {
-            "compressions": self.forged.compressions <= self.honest.compressions,
-            "matvecs": self.forged.matvecs <= self.honest.matvecs,
-            "decode_calls": self.forged.decode_calls <= self.honest.decode_calls,
-        }
-
-    @property
-    def forged_never_worse(self) -> bool:
-        return all(self.not_worse.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "honest": self.honest.as_dict(),
-            "forged": self.forged.as_dict(),
-            "not_worse": self.not_worse,
-        }
-
-
-def attack_cost_report(honest: OperationCount, forged: OperationCount) -> CostReport:
-    return CostReport(honest, forged)
-
-
 def forgery_record(scheme: str, forgery: Forgery, verified: bool) -> dict:
     """Audit record for a forgery transcript."""
     sig = forgery.signature
-    if isinstance(sig, McfsSignature):
-        sig_hex = _counter_bytes(sig.nonce).hex() + sig.error.to_bytes().hex()
-    else:
-        sig_hex = sig.error.to_bytes().hex()
+    counter = SCHEMES[scheme].counter
+    prefix = b"" if counter is None else _counter_bytes(getattr(sig, counter), forgery.r)
     return {
         "scheme": scheme,
         "msg_hex": forgery.message.hex(),
-        "signature_hex": sig_hex,
+        "signature_hex": (prefix + sig.error.to_bytes()).hex(),
         "verified": verified,
         "cost": forgery.cost.as_dict(),
     }

@@ -22,6 +22,7 @@ import statistics
 import sys
 
 from . import attacks, keyfiles, schemes
+from .codehash import ENCODER_IDS
 from .errors import CfsLabError
 from .goppa import decodable_census, goppa_keygen
 from .metering import count_operations
@@ -49,24 +50,12 @@ def _add_message_args(p) -> None:
 
 
 def _cmd_keygen(args) -> int:
-    rng = _rng(args.seed)
-    if args.scheme in ("cfs", "mcfs"):
-        sk, pk = schemes.cfs_keygen(args.m, args.t, rng, args.hash_id or "sha256")
-    elif args.scheme == "mcfsc":
-        if args.w is None:
-            raise CfsLabError("mcfsc needs -w")
-        sk, pk = schemes.mcfsc_keygen(args.m, args.t, args.w, rng)
-    else:
-        if args.w is None:
-            raise CfsLabError("tilde needs -w")
-        sk, pk = schemes.tilde_keygen(
-            args.m,
-            args.t,
-            args.w,
-            rng,
-            encoder_id=args.encoder or "regular",
-            hash_id=args.hash_id or "md-stopped",
-        )
+    scheme = schemes.SCHEMES[args.scheme]
+    if "w" in scheme.header and args.w is None:
+        raise CfsLabError(f"{args.scheme} needs -w")
+    # options a scheme does not store are ignored; absent ones take its defaults
+    options = {f: v for f in scheme.header if (v := getattr(args, f)) is not None}
+    sk, pk = scheme.keygen(m=args.m, t=args.t, rng=_rng(args.seed), **options)
     keyfiles.save_secret_key(sk, args.scheme, args.sk)
     keyfiles.save_public_key(pk, args.scheme, args.pk)
     print(f"wrote {args.sk} and {args.pk}")
@@ -76,28 +65,10 @@ def _cmd_keygen(args) -> int:
 def _cmd_sign(args) -> int:
     scheme, sk = keyfiles.load_secret_key(args.sk)
     msg = _message(args)
-    rng = _rng(args.seed)
-    if scheme == "cfs":
-        sig = schemes.cfs_sign(msg, sk)
-    elif scheme == "mcfs":
-        sig = schemes.mcfs_sign(msg, sk, rng)
-    elif scheme == "mcfsc":
-        sig = schemes.mcfsc_sign(msg, sk, rng)
-    else:
-        sig = schemes.tilde_sign(msg, sk)
+    sig = schemes.SCHEMES[scheme].sign(msg, sk, _rng(args.seed))
     keyfiles.save_signature(sig, scheme, args.sig)
     print(f"wrote {args.sig}")
     return 0
-
-
-def _verify(scheme: str, msg: bytes, sig, pk) -> bool:
-    if scheme == "cfs":
-        return schemes.cfs_verify(msg, sig, pk)
-    if scheme == "mcfs":
-        return schemes.mcfs_verify(msg, sig, pk)
-    if scheme == "mcfsc":
-        return schemes.mcfsc_verify(msg, sig, pk)
-    return schemes.tilde_verify(msg, sig, pk)
 
 
 def _cmd_verify(args) -> int:
@@ -106,7 +77,7 @@ def _cmd_verify(args) -> int:
     if sig_scheme != scheme:
         raise CfsLabError(f"signature is for {sig_scheme!r}, key is {scheme!r}")
     msg = _message(args)
-    ok = _verify(scheme, msg, sig, pk)
+    ok = schemes.SCHEMES[scheme].verify(msg, sig, pk)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
 
@@ -114,14 +85,11 @@ def _cmd_verify(args) -> int:
 def _cmd_forge(args) -> int:
     scheme, pk = keyfiles.load_public_key(args.pk)
     msg = _message(args)
-    rng = _rng(args.seed)
-    if scheme == "mcfsc":
-        forgery = attacks.forge_mcfsc(msg, pk, rng)
-    elif scheme == "tilde":
-        forgery = attacks.forge_tilde(msg, pk)
-    else:
+    forger = attacks.FORGERS.get(scheme)
+    if forger is None:
         raise CfsLabError(f"no generic forgery implemented for scheme {scheme!r}")
-    verified = _verify(scheme, msg, forgery.signature, pk)
+    forgery = forger(msg, pk, _rng(args.seed))
+    verified = schemes.SCHEMES[scheme].verify(msg, forgery.signature, pk)
     keyfiles.save_signature(forgery.signature, scheme, args.sig)
     print(json.dumps(attacks.forgery_record(scheme, forgery, verified)))
     return 0 if verified else 1
@@ -210,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=int, required=True, help="correction capability")
     p.add_argument("-w", type=int, help="hash block count (mcfsc, tilde)")
     p.add_argument("--hash-id", dest="hash_id", choices=schemes.HASH_IDS)
-    p.add_argument("--encoder", choices=("regular", "digits", "zero"))
+    p.add_argument("--encoder", dest="encoder_id", choices=ENCODER_IDS)
     p.add_argument("--seed", type=int)
     p.add_argument("--sk", required=True, help="secret key output path")
     p.add_argument("--pk", required=True, help="public key output path")

@@ -208,20 +208,3 @@ def syndrome_hash(
             f"encoder {encoder.name!r} produced weight {word.weight} > {encoder.max_weight}"
         )
     return mat_vec(h_matrix, word)
-
-
-def hash_test_vectors(cfg: HashConfig, messages) -> list[str]:
-    """One `msg_hex digest_hex state_hex` line per message, for committed
-    configurations (empty message serializes as '-')."""
-    lines = []
-    for msg in messages:
-        digest = md_hash(msg, cfg)
-        state = md_final_state(msg, cfg)
-        lines.append(f"{msg.hex() or '-'} {digest.to_hex()} {state.to_hex()}")
-    return lines
-
-
-def parse_hash_test_vector(line: str, cfg: HashConfig) -> tuple[bytes, BitVector, BitVector]:
-    msg_hex, digest_hex, state_hex = line.split()
-    msg = b"" if msg_hex == "-" else bytes.fromhex(msg_hex)
-    return msg, BitVector.from_hex(digest_hex, cfg.r), BitVector.from_hex(state_hex, cfg.s)

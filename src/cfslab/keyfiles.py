@@ -7,32 +7,28 @@ byte-aligned, so reruns with the same seed reproduce files byte for byte.
 
 Secret keys store the Goppa polynomial and support and rebuild the parity
 check matrix and decoder tables on load; derived data (inverses, the
-public matrix of mcfsc) is recomputed rather than stored.
+public matrix of mcfsc) is recomputed rather than stored.  Which header
+fields a key file carries, whether it stores a scrambler and which counter
+field a signature has are read from the scheme's record in
+`schemes.SCHEMES`.  Anything a loader cannot parse raises KeyFormatError.
 """
 
 from __future__ import annotations
 
-from .errors import KeyFormatError
+from contextlib import contextmanager
+
+from .errors import CfsLabError, KeyFormatError
 from .gf2m import GF2m, Poly
 from .goppa import GoppaCode
 from .linalg import BitMatrix, BitVector, Permutation, inverse
-from .schemes import (
-    CfsPublicKey,
-    CfsSecretKey,
-    CfsSignature,
-    McfscPublicKey,
-    McfscSecretKey,
-    McfsSignature,
-    TildePublicKey,
-    TildeSecretKey,
-    TildeSignature,
-    cfs_keys_from_parts,
-    mcfsc_keys_from_parts,
-    tilde_keys_from_parts,
-)
+from .schemes import SCHEMES, Scheme
 
 KEY_MAGIC = "cfslab-key v1"
 SIG_MAGIC = "cfslab-sig v1"
+
+# file label of a key attribute in the header, where the two differ
+_LABELS = {"encoder_id": "encoder"}
+_PARSERS = {"w": int}
 
 
 def _fmt_field_elems(values) -> str:
@@ -43,10 +39,30 @@ def _parse_field_elems(tokens) -> list[int]:
     return [int(tok, 16) for tok in tokens]
 
 
+def _scheme(name: str) -> Scheme:
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        raise KeyFormatError(f"unknown scheme {name!r}") from None
+
+
+@contextmanager
+def _parsing(path):
+    """Turn every way a hostile file fails to parse into KeyFormatError
+    (ValueError covers bad integers, bad hex and non-ASCII bytes)."""
+    try:
+        yield
+    except KeyFormatError:
+        raise
+    except (CfsLabError, ValueError) as exc:
+        raise KeyFormatError(f"malformed file {path}: {exc}") from exc
+
+
 class _Reader:
-    def __init__(self, text: str, magic: str):
-        self.lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-        self.pos = 0
+    def __init__(self, path, magic: str):
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii")
+        self.lines = [ln for ln in text.splitlines() if ln.strip()]
         if not self.lines or self.lines[0] != magic:
             raise KeyFormatError(f"missing {magic!r} header")
         self.pos = 1
@@ -60,20 +76,33 @@ class _Reader:
         self.pos += 1
         return toks[1:]
 
+    def value(self, name: str, parse=str):
+        toks = self.next(name)
+        if len(toks) != 1:
+            raise KeyFormatError(f"{name!r} takes one value, found {len(toks)}")
+        return parse(toks[0])
+
     def matrix(self, name: str) -> BitMatrix:
         toks = self.next(name)
-        try:
-            rows, cols = int(toks[0]), int(toks[1])
-        except (ValueError, IndexError) as exc:
-            raise KeyFormatError(f"bad matrix header for {name!r}") from exc
-        if self.pos + rows > len(self.lines):
+        if len(toks) != 2:
+            raise KeyFormatError(f"bad matrix header for {name!r}")
+        rows = int(toks[0])
+        if not 0 <= rows <= len(self.lines) - self.pos:
             raise KeyFormatError(f"truncated matrix {name!r}")
         body = self.lines[self.pos : self.pos + rows]
         self.pos += rows
-        try:
-            return BitMatrix.from_text(f"{rows} {cols}\n" + "\n".join(body))
-        except Exception as exc:
-            raise KeyFormatError(f"bad matrix body for {name!r}: {exc}") from exc
+        return BitMatrix.from_text("\n".join([" ".join(toks), *body]))
+
+    def key_header(self, kind: str) -> tuple[str, Scheme, int, int, dict]:
+        """scheme, kind, m, t and the scheme's own header fields."""
+        name = self.value("scheme")
+        scheme = _scheme(name)
+        found = self.value("kind")
+        if found != kind:
+            raise KeyFormatError(f"expected a {kind} key file, found kind {found!r}")
+        m, t = self.value("m", int), self.value("t", int)
+        fields = {f: self.value(_LABELS.get(f, f), _PARSERS.get(f, str)) for f in scheme.header}
+        return name, scheme, m, t, fields
 
 
 def _matrix_lines(name: str, mat: BitMatrix) -> list[str]:
@@ -81,187 +110,78 @@ def _matrix_lines(name: str, mat: BitMatrix) -> list[str]:
     return [f"{name} {text[0]}"] + text[1:]
 
 
-def _code_lines(code: GoppaCode) -> list[str]:
-    return [
-        f"g {_fmt_field_elems(code.g.coeffs)}",
-        f"support {_fmt_field_elems(code.support)}",
-    ]
+def _key_lines(key, scheme: str, kind: str, m: int, t: int) -> list[str]:
+    header = [f"{_LABELS.get(f, f)} {getattr(key, f)}" for f in _scheme(scheme).header]
+    return [KEY_MAGIC, f"scheme {scheme}", f"kind {kind}", f"m {m}", f"t {t}", *header]
 
 
-def _read_code(r: _Reader, m: int) -> GoppaCode:
-    field = GF2m(m)
-    g = Poly(field, _parse_field_elems(r.next("g")))
-    support = _parse_field_elems(r.next("support"))
-    return GoppaCode.build(field, g, support)
+def _write(path, lines: list[str]) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_secret_key(sk, scheme: str, path: str) -> None:
-    lines = [KEY_MAGIC, f"scheme {scheme}", "kind secret"]
-    if scheme in ("cfs", "mcfs"):
-        assert isinstance(sk, CfsSecretKey)
-        lines += [f"m {sk.code.m}", f"t {sk.code.t}", f"hash_id {sk.hash_id}"]
-        lines += _code_lines(sk.code)
+    code = sk.code
+    lines = _key_lines(sk, scheme, "secret", code.m, code.t)
+    lines += [f"g {_fmt_field_elems(code.g.coeffs)}", f"support {_fmt_field_elems(code.support)}"]
+    if SCHEMES[scheme].scrambled:
         lines += _matrix_lines("S", sk.scrambler)
-        lines += [f"P {sk.perm.to_text()}"]
-    elif scheme == "mcfsc":
-        assert isinstance(sk, McfscSecretKey)
-        lines += [f"m {sk.code.m}", f"t {sk.code.t}", f"w {sk.w}"]
-        lines += _code_lines(sk.code)
-        lines += [f"P {sk.perm.to_text()}"]
-    elif scheme == "tilde":
-        assert isinstance(sk, TildeSecretKey)
-        lines += [
-            f"m {sk.code.m}",
-            f"t {sk.code.t}",
-            f"w {sk.w}",
-            f"hash_id {sk.hash_id}",
-            f"encoder {sk.encoder_id}",
-        ]
-        lines += _code_lines(sk.code)
-        lines += _matrix_lines("S", sk.scrambler)
-        lines += [f"P {sk.perm.to_text()}"]
-    else:
-        raise KeyFormatError(f"unknown scheme {scheme!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines.append(f"P {sk.perm.to_text()}")
+    _write(path, lines)
 
 
 def save_public_key(pk, scheme: str, path: str) -> None:
     m = pk.h_pub.cols.bit_length() - 1  # full-field support: n = 2^m
-    lines = [KEY_MAGIC, f"scheme {scheme}", "kind public", f"m {m}"]
-    if scheme in ("cfs", "mcfs"):
-        assert isinstance(pk, CfsPublicKey)
-        lines += [f"t {pk.t}", f"hash_id {pk.hash_id}"]
-        lines += _matrix_lines("H", pk.h_pub)
-    elif scheme == "mcfsc":
-        assert isinstance(pk, McfscPublicKey)
-        lines += [f"t {pk.t}", f"w {pk.w}"]
-        lines += _matrix_lines("H", pk.h_pub)
-    elif scheme == "tilde":
-        assert isinstance(pk, TildePublicKey)
-        lines += [
-            f"t {pk.t}",
-            f"w {pk.w}",
-            f"hash_id {pk.hash_id}",
-            f"encoder {pk.encoder_id}",
-        ]
-        lines += _matrix_lines("H", pk.h_pub)
-    else:
-        raise KeyFormatError(f"unknown scheme {scheme!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, _key_lines(pk, scheme, "public", m, pk.t) + _matrix_lines("H", pk.h_pub))
 
 
 def load_secret_key(path: str):
     """Returns (scheme, secret_key)."""
-    with open(path) as fh:
-        r = _Reader(fh.read(), KEY_MAGIC)
-    scheme = r.next("scheme")[0]
-    kind = r.next("kind")[0]
-    if kind != "secret":
-        raise KeyFormatError(f"expected a secret key file, found kind {kind!r}")
-    m = int(r.next("m")[0])
-    t = int(r.next("t")[0])
-    if scheme in ("cfs", "mcfs"):
-        hash_id = r.next("hash_id")[0]
-        code = _read_code(r, m)
-        s = r.matrix("S")
+    with _parsing(path):
+        r = _Reader(path, KEY_MAGIC)
+        name, scheme, m, t, fields = r.key_header("secret")
+        field = GF2m(m)
+        g = Poly(field, _parse_field_elems(r.next("g")))
+        code = GoppaCode.build(field, g, _parse_field_elems(r.next("support")))
+        if code.t != t:
+            raise KeyFormatError("stored t disagrees with the polynomial degree")
+        if scheme.scrambled:
+            s = r.matrix("S")
+            s_inv = inverse(s)
+            if s_inv is None:
+                raise KeyFormatError("stored scrambler is singular")
+            fields.update(scrambler=s, scrambler_inv=s_inv)
         perm = Permutation.from_text(" ".join(r.next("P")))
-        s_inv = inverse(s)
-        if s_inv is None:
-            raise KeyFormatError("stored scrambler is singular")
-        sk, _ = cfs_keys_from_parts(code, s, s_inv, perm, hash_id)
-    elif scheme == "mcfsc":
-        w = int(r.next("w")[0])
-        code = _read_code(r, m)
-        perm = Permutation.from_text(" ".join(r.next("P")))
-        sk, _ = mcfsc_keys_from_parts(code, perm, w)
-    elif scheme == "tilde":
-        w = int(r.next("w")[0])
-        hash_id = r.next("hash_id")[0]
-        encoder_id = r.next("encoder")[0]
-        code = _read_code(r, m)
-        s = r.matrix("S")
-        perm = Permutation.from_text(" ".join(r.next("P")))
-        s_inv = inverse(s)
-        if s_inv is None:
-            raise KeyFormatError("stored scrambler is singular")
-        sk, _ = tilde_keys_from_parts(code, s, s_inv, perm, w, encoder_id, hash_id)
-    else:
-        raise KeyFormatError(f"unknown scheme {scheme!r}")
-    if code.t != t:
-        raise KeyFormatError("stored t disagrees with the polynomial degree")
-    return scheme, sk
+        sk, _ = scheme.from_parts(code=code, perm=perm, **fields)
+    return name, sk
 
 
 def load_public_key(path: str):
     """Returns (scheme, public_key)."""
-    with open(path) as fh:
-        r = _Reader(fh.read(), KEY_MAGIC)
-    scheme = r.next("scheme")[0]
-    kind = r.next("kind")[0]
-    if kind != "public":
-        raise KeyFormatError(f"expected a public key file, found kind {kind!r}")
-    m = int(r.next("m")[0])
-    t = int(r.next("t")[0])
-    def _check_m(h: BitMatrix) -> BitMatrix:
-        if h.cols != 1 << m:
+    with _parsing(path):
+        r = _Reader(path, KEY_MAGIC)
+        name, scheme, m, t, fields = r.key_header("public")
+        h = r.matrix("H")
+        if h.cols.bit_length() - 1 != m or h.cols & (h.cols - 1):
             raise KeyFormatError("stored m disagrees with the matrix width")
-        return h
-
-    if scheme in ("cfs", "mcfs"):
-        hash_id = r.next("hash_id")[0]
-        h = _check_m(r.matrix("H"))
-        return scheme, CfsPublicKey(h, t, hash_id)
-    if scheme == "mcfsc":
-        w = int(r.next("w")[0])
-        h = _check_m(r.matrix("H"))
-        from .codehash import HashConfig
-
-        return scheme, McfscPublicKey(h, t, w, HashConfig(h, w))
-    if scheme == "tilde":
-        w = int(r.next("w")[0])
-        hash_id = r.next("hash_id")[0]
-        encoder_id = r.next("encoder")[0]
-        h = _check_m(r.matrix("H"))
-        from .codehash import HashConfig
-
-        return scheme, TildePublicKey(h, t, w, hash_id, encoder_id, HashConfig(h, w))
-    raise KeyFormatError(f"unknown scheme {scheme!r}")
+        return name, scheme.public_key(h, t, **fields)
 
 
 def save_signature(sig, scheme: str, path: str) -> None:
     lines = [SIG_MAGIC, f"scheme {scheme}"]
-    if isinstance(sig, CfsSignature):
-        lines += [f"counter {sig.counter}"]
-    elif isinstance(sig, McfsSignature):
-        lines += [f"nonce {sig.nonce}"]
-    elif not isinstance(sig, TildeSignature):
-        raise KeyFormatError(f"unknown signature type {type(sig).__name__}")
-    lines += [f"bits {sig.error.n}", f"error {sig.error.to_hex()}"]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    counter = _scheme(scheme).counter
+    if counter is not None:
+        lines.append(f"{counter} {getattr(sig, counter)}")
+    _write(path, lines + [f"bits {sig.error.n}", f"error {sig.error.to_hex()}"])
 
 
 def load_signature(path: str):
     """Returns (scheme, signature)."""
-    with open(path) as fh:
-        r = _Reader(fh.read(), SIG_MAGIC)
-    scheme = r.next("scheme")[0]
-    counter = nonce = None
-    if scheme == "cfs":
-        counter = int(r.next("counter")[0])
-    elif scheme in ("mcfs", "mcfsc"):
-        nonce = int(r.next("nonce")[0])
-    elif scheme != "tilde":
-        raise KeyFormatError(f"unknown scheme {scheme!r}")
-    n = int(r.next("bits")[0])
-    try:
-        error = BitVector.from_hex(r.next("error")[0], n)
-    except Exception as exc:
-        raise KeyFormatError(f"bad error vector: {exc}") from exc
-    if scheme == "cfs":
-        return scheme, CfsSignature(counter, error)
-    if scheme in ("mcfs", "mcfsc"):
-        return scheme, McfsSignature(nonce, error)
-    return scheme, TildeSignature(error)
+    with _parsing(path):
+        r = _Reader(path, SIG_MAGIC)
+        name = r.value("scheme")
+        scheme = _scheme(name)
+        counter = {} if scheme.counter is None else {scheme.counter: r.value(scheme.counter, int)}
+        n = r.value("bits", int)
+        error = BitVector.from_hex(r.value("error"), n)
+        return name, scheme.signature(error=error, **counter)

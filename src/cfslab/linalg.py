@@ -377,25 +377,6 @@ def rank(mat: BitMatrix) -> int:
     return len(_rref(mat._rows, mat.cols)[1])
 
 
-def gaussian_solve(mat: BitMatrix, b: BitVector) -> BitVector | None:
-    """Some x with mat * x = b, or None when the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    if mat.rows != b.n:
-        raise DimensionError("right-hand side length mismatch")
-    n = mat.cols
-    aug = [r | (((b.to_int() >> i) & 1) << n) for i, r in enumerate(mat._rows)]
-    rows, pivots = _rref(aug, n)
-    for i in range(len(pivots), len(rows)):
-        if rows[i] >> n:
-            return None
-    x = 0
-    for i, c in enumerate(pivots):
-        x |= ((rows[i] >> n) & 1) << c
-    return BitVector(n, x)
-
-
 def kernel_basis(mat: BitMatrix) -> list[BitVector]:
     """Basis of the right kernel {x : mat * x = 0}."""
     n = mat.cols

@@ -2,14 +2,18 @@
 the code-hash variant with no scrambler (mcfsc), and the generalized
 encoder-based variant (tilde).
 
-All verifiers work from public data only.  Counters and nonces are bound
-into the hash as 8-byte big-endian fields so that message/counter splits
-are unambiguous.
+The schemes differ only in how the digest that H_pub * e must match is
+formed.  `SCHEMES` maps each name to a `Scheme` record holding that digest,
+the signer, the key constructors and what the scheme's files carry; every
+verifier is one shared gate plus digest == H_pub * e, from public data only.
+Counters and nonces are bound into the hash as big-endian fields of
+`counter_width(n-k)` bytes so that message/counter splits are unambiguous.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .codehash import (
     BoundedWeightEncoder,
@@ -28,7 +32,6 @@ from .errors import (
 from .goppa import GoppaCode, goppa_keygen, patterson_decode
 from .linalg import BitMatrix, BitVector, Permutation, mat_mul, mat_vec, rand_invertible
 
-SCHEMES = ("cfs", "mcfs", "mcfsc", "tilde")
 HASH_IDS = ("sha256", "md-stopped")
 
 # generic digests usable as the counter-scheme hash h; output width is a
@@ -38,18 +41,25 @@ GENERIC_HASHES = {"sha256": digest_bits}
 DEFAULT_ATTEMPT_CAP = 1 << 20
 
 
-_COUNTER_BYTES = 8
-_COUNTER_LIMIT = 1 << (8 * _COUNTER_BYTES)
+def counter_width(r: int) -> int:
+    """Bytes of the hashed counter or nonce field for a code with n-k = r:
+    8, widened when r > 64 to the bytes that hold the largest nonce 2^r."""
+    return 8 if r <= 64 else (r + 8) // 8
 
 
-def _counter_bytes(value: int) -> bytes:
-    return value.to_bytes(_COUNTER_BYTES, "big")
+def _counter_bytes(value: int, r: int) -> bytes:
+    return value.to_bytes(counter_width(r), "big")
 
 
-def _encodable_counter(value) -> bool:
+def _encodable_counter(value, r: int) -> bool:
     """Whether a signature's counter or nonce fits the hashed field; the
     verifiers reject any other value instead of raising."""
-    return isinstance(value, int) and 0 <= value < _COUNTER_LIMIT
+    return isinstance(value, int) and 0 <= value < 1 << (8 * counter_width(r))
+
+
+def draw_nonce(rng, r: int) -> int:
+    """A fresh nonce, uniform in [1, 2^r]."""
+    return rng.randrange(1, (1 << r) + 1)
 
 
 def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") -> BitVector:
@@ -58,7 +68,7 @@ def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") 
         fn = GENERIC_HASHES[hash_id]
     except KeyError:
         raise BadParameters(f"unknown generic hash id {hash_id!r}") from None
-    return fn(msg + _counter_bytes(counter), nbits)
+    return fn(msg + _counter_bytes(counter, nbits), nbits)
 
 
 # --------------------------------------------------------------------------
@@ -130,23 +140,22 @@ def _decode_scrambled(sk: CfsSecretKey, digest: BitVector) -> BitVector | None:
     return patterson_decode(sk.code, mat_vec(sk.scrambler_inv, digest))
 
 
-def cfs_sign(msg: bytes, sk: CfsSecretKey, max_attempts: int = DEFAULT_ATTEMPT_CAP) -> CfsSignature:
-    """Increment a counter from 0 until the digest decodes; deterministic."""
+def _sign_retry(msg: bytes, sk: CfsSecretKey, counters, signature, max_attempts: int):
     r = sk.code.n_minus_k
-    for counter in range(max_attempts):
+    for counter in counters:
         e = _decode_scrambled(sk, message_hash(msg, counter, r, sk.hash_id))
         if e is not None:
-            return CfsSignature(counter, sk.perm.apply(e))
+            return signature(counter, sk.perm.apply(e))
     raise AttemptLimitExceeded(f"no decodable digest in {max_attempts} attempts")
 
 
+def cfs_sign(msg: bytes, sk: CfsSecretKey, max_attempts: int = DEFAULT_ATTEMPT_CAP) -> CfsSignature:
+    """Increment a counter from 0 until the digest decodes; deterministic."""
+    return _sign_retry(msg, sk, range(max_attempts), CfsSignature, max_attempts)
+
+
 def cfs_verify(msg: bytes, sig: CfsSignature, pk: CfsPublicKey) -> bool:
-    if not _encodable_counter(sig.counter):
-        return False
-    if sig.error.n != pk.h_pub.cols or sig.error.weight > pk.t:
-        return False
-    a = message_hash(msg, sig.counter, pk.h_pub.rows, pk.hash_id)
-    return a == mat_vec(pk.h_pub, sig.error)
+    return CFS.verify(msg, sig, pk)
 
 
 def mcfs_sign(
@@ -154,21 +163,12 @@ def mcfs_sign(
 ) -> McfsSignature:
     """Like cfs_sign but with a fresh random nonce per attempt."""
     r = sk.code.n_minus_k
-    for _ in range(max_attempts):
-        nonce = rng.randrange(1, (1 << r) + 1)
-        e = _decode_scrambled(sk, message_hash(msg, nonce, r, sk.hash_id))
-        if e is not None:
-            return McfsSignature(nonce, sk.perm.apply(e))
-    raise AttemptLimitExceeded(f"no decodable digest in {max_attempts} attempts")
+    nonces = (draw_nonce(rng, r) for _ in range(max_attempts))
+    return _sign_retry(msg, sk, nonces, McfsSignature, max_attempts)
 
 
 def mcfs_verify(msg: bytes, sig: McfsSignature, pk: CfsPublicKey) -> bool:
-    if not _encodable_counter(sig.nonce):
-        return False
-    if sig.error.n != pk.h_pub.cols or sig.error.weight > pk.t:
-        return False
-    a = message_hash(msg, sig.nonce, pk.h_pub.rows, pk.hash_id)
-    return a == mat_vec(pk.h_pub, sig.error)
+    return MCFS.verify(msg, sig, pk)
 
 
 # --------------------------------------------------------------------------
@@ -219,13 +219,13 @@ def mcfsc_keygen(m: int, t: int, w: int, rng) -> tuple[McfscSecretKey, McfscPubl
 def chained_digest(msg: bytes, nonce: int, cfg: HashConfig) -> BitVector:
     """h(h(msg) || nonce) with the inner digest re-entering as plain bytes."""
     inner = md_hash(msg, cfg)
-    return md_hash(inner.to_bytes() + _counter_bytes(nonce), cfg)
+    return md_hash(inner.to_bytes() + _counter_bytes(nonce, cfg.r), cfg)
 
 
 def mcfsc_sign(msg: bytes, sk: McfscSecretKey, rng) -> McfsSignature:
     """Single decode, no retry: the digest is a weight-w syndrome by
     construction, and w < t keeps it inside the decoder's reach."""
-    nonce = rng.randrange(1, (1 << sk.code.n_minus_k) + 1)
+    nonce = draw_nonce(rng, sk.code.n_minus_k)
     digest = chained_digest(msg, nonce, sk.cfg)
     # H_pub = H*P, so the digest is, bit for bit, also a syndrome under H
     # (of the un-permuted error); it can be decoded directly.
@@ -236,12 +236,7 @@ def mcfsc_sign(msg: bytes, sk: McfscSecretKey, rng) -> McfsSignature:
 
 
 def mcfsc_verify(msg: bytes, sig: McfsSignature, pk: McfscPublicKey) -> bool:
-    if not _encodable_counter(sig.nonce):
-        return False
-    if sig.error.n != pk.h_pub.cols or sig.error.weight > pk.t:
-        return False
-    a = chained_digest(msg, sig.nonce, pk.cfg)
-    return a == mat_vec(pk.h_pub, sig.error)
+    return MCFSC.verify(msg, sig, pk)
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +333,90 @@ def tilde_sign(msg: bytes, sk: TildeSecretKey) -> TildeSignature:
 
 
 def tilde_verify(msg: bytes, sig: TildeSignature, pk: TildePublicKey) -> bool:
-    if sig.error.n != pk.h_pub.cols or sig.error.weight > pk.t:
+    return TILDE.verify(msg, sig, pk)
+
+
+# --------------------------------------------------------------------------
+# the scheme table
+# --------------------------------------------------------------------------
+
+
+def _gate(counter: str | None, sig, pk) -> bool:
+    """What every verifier checks before the digest: an n-bit error of
+    weight at most t and, if the scheme has one, a counter or nonce that
+    the hashed field can hold.  False, not an exception, for any value."""
+    error = getattr(sig, "error", None)
+    if not isinstance(error, BitVector) or error.n != pk.h_pub.cols or error.weight > pk.t:
         return False
-    return tilde_digest(msg, pk) == mat_vec(pk.h_pub, sig.error)
+    return counter is None or _encodable_counter(getattr(sig, counter, None), pk.h_pub.rows)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything that tells one scheme from another.
+
+    counter     the signature's counter field: "counter", "nonce" or None
+    header      the key attributes a key file stores after m and t, an
+                ordered subset of ("w", "hash_id", "encoder_id")
+    scrambled   whether the key carries a scrambler S
+    signature   the signature type: signature(error=e, **{counter: c})
+    keygen      keygen(m=, t=, rng=, **header fields); absent fields default
+    from_parts  from_parts(code=, perm=, [scrambler=, scrambler_inv=,]
+                **header fields) -> (sk, pk)
+    public_key  public_key(h_pub, t, **header fields) -> pk
+    sign        sign(msg, sk, rng) -> signature
+    digest      digest(msg, sig, pk): what H_pub * sig.error must equal
+    """
+
+    name: str
+    counter: str | None
+    header: tuple[str, ...]
+    scrambled: bool
+    signature: type
+    keygen: Callable
+    from_parts: Callable
+    public_key: Callable
+    sign: Callable
+    digest: Callable
+
+    def verify(self, msg: bytes, sig, pk) -> bool:
+        if not _gate(self.counter, sig, pk):
+            return False
+        return self.digest(msg, sig, pk) == mat_vec(pk.h_pub, sig.error)
+
+
+CFS = Scheme(
+    "cfs", "counter", ("hash_id",), True, CfsSignature,
+    keygen=cfs_keygen,
+    from_parts=cfs_keys_from_parts,
+    public_key=CfsPublicKey,
+    sign=lambda msg, sk, rng: cfs_sign(msg, sk),
+    digest=lambda msg, sig, pk: message_hash(msg, sig.counter, pk.h_pub.rows, pk.hash_id),
+)
+MCFS = Scheme(
+    "mcfs", "nonce", ("hash_id",), True, McfsSignature,
+    keygen=cfs_keygen,
+    from_parts=cfs_keys_from_parts,
+    public_key=CfsPublicKey,
+    sign=mcfs_sign,
+    digest=lambda msg, sig, pk: message_hash(msg, sig.nonce, pk.h_pub.rows, pk.hash_id),
+)
+MCFSC = Scheme(
+    "mcfsc", "nonce", ("w",), False, McfsSignature,
+    keygen=mcfsc_keygen,
+    from_parts=mcfsc_keys_from_parts,
+    public_key=lambda h_pub, t, w: McfscPublicKey(h_pub, t, w, HashConfig(h_pub, w)),
+    sign=mcfsc_sign,
+    digest=lambda msg, sig, pk: chained_digest(msg, sig.nonce, pk.cfg),
+)
+TILDE = Scheme(
+    "tilde", None, ("w", "hash_id", "encoder_id"), True, TildeSignature,
+    keygen=tilde_keygen,
+    from_parts=tilde_keys_from_parts,
+    public_key=lambda h_pub, t, w, hash_id, encoder_id: TildePublicKey(
+        h_pub, t, w, hash_id, encoder_id, HashConfig(h_pub, w)
+    ),
+    sign=lambda msg, sk, rng: tilde_sign(msg, sk),
+    digest=lambda msg, sig, pk: tilde_digest(msg, pk),
+)
+SCHEMES = {s.name: s for s in (CFS, MCFS, MCFSC, TILDE)}

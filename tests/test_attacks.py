@@ -5,7 +5,6 @@ import pytest
 
 import cfslab.attacks as attacks_module
 from cfslab.attacks import (
-    attack_cost_report,
     forge_mcfsc,
     forge_tilde,
     forgery_record,
@@ -15,7 +14,7 @@ from cfslab.codehash import md_hash
 from cfslab.errors import NoPermutationError
 from cfslab.goppa import goppa_keygen
 from cfslab.linalg import BitMatrix, Permutation
-from cfslab.metering import OperationCount, count_operations
+from cfslab.metering import count_operations
 from cfslab.schemes import (
     mcfsc_keygen,
     mcfsc_sign,
@@ -96,10 +95,9 @@ def test_forge_tilde_cost_no_worse_than_honest(tilde_keys):
         f = forge_tilde(msg, pk)
         with count_operations() as honest:
             tilde_sign(msg, sk)
-        report = attack_cost_report(honest, f.cost)
-        assert report.forged_never_worse
         assert f.cost.compressions <= honest.compressions
         assert f.cost.matvecs < honest.matvecs  # forger skips the syndrome
+        assert f.cost.decode_calls <= honest.decode_calls
         assert honest.decode_calls == 1
 
 
@@ -118,7 +116,7 @@ def test_forge_tilde_consistent_with_forge_mcfsc(mcfsc_keys):
     for _ in range(20):
         msg = rng.randbytes(24)
         f1 = forge_mcfsc(msg, mpk, rng)
-        chained = md_hash(msg, mpk.cfg).to_bytes() + _counter_bytes(f1.signature.nonce)
+        chained = md_hash(msg, mpk.cfg).to_bytes() + _counter_bytes(f1.signature.nonce, mpk.r)
         f2 = forge_tilde(chained, tpk)
         assert f2.signature.error == f1.signature.error
 
@@ -166,21 +164,6 @@ def test_recover_permutation_rejects_unrelated():
         recover_permutation(code.h, other.h)
     with pytest.raises(NoPermutationError):
         recover_permutation(code.h, BitMatrix.identity(12))
-
-
-def test_cost_report_structure():
-    honest = OperationCount(compressions=10, matvecs=2, decode_calls=1)
-    forged = OperationCount(compressions=9, matvecs=0, decode_calls=0)
-    report = attack_cost_report(honest, forged)
-    assert report.not_worse == {
-        "compressions": True,
-        "matvecs": True,
-        "decode_calls": True,
-    }
-    assert report.forged_never_worse
-    worse = attack_cost_report(forged, honest)
-    assert not worse.forged_never_worse
-    assert set(report.as_dict()) == {"honest", "forged", "not_worse"}
 
 
 def test_forgery_record_shape(mcfsc_keys):

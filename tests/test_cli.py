@@ -150,3 +150,43 @@ def test_message_from_file(tmp_path):
     (sig,) = _paths(tmp_path, "sig.txt")
     assert run(["sign", "--sk", sk, "--msg-file", str(msg), "--sig", sig, "--seed", "3"]) == 0
     assert run(["verify", "--pk", pk, "--msg-file", str(msg), "--sig", sig]) == 0
+
+
+def _mutate(path, old, new):
+    data = open(path, "rb").read()
+    assert old in data
+    with open(path, "wb") as fh:
+        fh.write(data.replace(old, new, 1))
+
+
+# id -> (command, file to mutate, bytes replaced, replacement)
+HOSTILE = {
+    "pk-m-not-int": ("verify", "pk", b"\nm 4", b"\nm x"),
+    "sk-m-not-int": ("sign", "sk", b"\nm 4", b"\nm x"),
+    "pk-bare-scheme": ("verify", "pk", b"scheme mcfsc", b"scheme"),
+    "sig-bare-scheme": ("verify", "sig", b"scheme mcfsc", b"scheme"),
+    "sk-m-99": ("sign", "sk", b"\nm 4", b"\nm 99"),
+    "pk-m-99": ("verify", "pk", b"\nm 4", b"\nm 99"),
+    "sk-P-not-bijective": ("sign", "sk", b"\nP ", b"\nP 0 0 "),
+    "pk-not-utf8": ("verify", "pk", b"cfslab-key v1\n", b"cfslab-key v1\n\xff\xfe\n"),
+    "sig-not-utf8": ("verify", "sig", b"\nscheme", b"\n\xc3\x28scheme"),
+    "sk-t-not-int": ("sign", "sk", b"\nt 3", b"\nt three"),
+    "pk-w-not-int": ("verify", "pk", b"\nw 2", b"\nw 2.0"),
+    "sig-bits-not-int": ("verify", "sig", b"\nbits 16", b"\nbits 0x10"),
+    "sig-nonce-not-int": ("verify", "sig", b"\nnonce ", b"\nnonce n"),
+}
+
+
+@pytest.mark.parametrize("command,target,old,new", list(HOSTILE.values()), ids=list(HOSTILE))
+def test_hostile_files_exit_2(tmp_path, capsys, command, target, old, new):
+    sk, pk = keygen(tmp_path)
+    (sig,) = _paths(tmp_path, "sig.txt")
+    assert run(["sign", "--sk", sk, "--msg-hex", "00", "--sig", sig, "--seed", "8"]) == 0
+    _mutate({"sk": sk, "pk": pk, "sig": sig}[target], old, new)
+    if command == "sign":
+        argv = ["sign", "--sk", sk, "--msg-hex", "00", "--sig", str(tmp_path / "out.txt")]
+    else:
+        argv = ["verify", "--pk", pk, "--msg-hex", "00", "--sig", sig]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

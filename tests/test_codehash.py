@@ -7,11 +7,9 @@ from cfslab.codehash import (
     HashConfig,
     compress,
     digest_bits,
-    hash_test_vectors,
     make_encoder,
     md_final_state,
     md_hash,
-    parse_hash_test_vector,
     regular_word,
     split,
     syndrome_hash,
@@ -253,15 +251,3 @@ def test_syndrome_hash_enforces_weight_bound(cfg16):
     cheat = BoundedWeightEncoder("cheat", 1, lambda x: BitVector(16, 0b111))
     with pytest.raises(WeightBoundViolation):
         syndrome_hash(b"m", cfg16.h, cheat, lambda m: md_final_state(m, cfg16))
-
-
-def test_vector_file_round_trip(cfg16):
-    rng = random.Random(14)
-    msgs = [b"", b"a", rng.randbytes(33)]
-    lines = hash_test_vectors(cfg16, msgs)
-    assert len(lines) == 3
-    for line, msg in zip(lines, msgs):
-        m, digest, state = parse_hash_test_vector(line, cfg16)
-        assert m == msg
-        assert digest == md_hash(msg, cfg16)
-        assert state == md_final_state(msg, cfg16)

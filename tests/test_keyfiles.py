@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cfslab.attacks import forge_mcfsc
 from cfslab.errors import KeyFormatError
 from cfslab.keyfiles import (
     load_public_key,
@@ -96,17 +97,95 @@ def test_public_loader_rejects_secret_files(tmp_path):
         load_secret_key(tmp_path / "pk")
 
 
-def test_malformed_files_rejected(tmp_path):
-    bad = tmp_path / "bad"
-    bad.write_text("not a key file\n")
-    with pytest.raises(KeyFormatError):
-        load_public_key(bad)
-    truncated = tmp_path / "trunc"
-    sk, pk = cfs_keygen(4, 2, random.Random(9))
-    save_public_key(pk, "cfs", tmp_path / "pk")
-    text = (tmp_path / "pk").read_text().splitlines()
-    truncated.write_text("\n".join(text[:-2]) + "\n")
-    with pytest.raises(KeyFormatError):
-        load_public_key(truncated)
-    with pytest.raises(KeyFormatError):
-        load_signature(bad)
+def test_wide_nonce_key_and_signature_round_trip(tmp_path):
+    # m=7, t=10: n-k = 70, so nonces hash in a 9-byte field
+    sk, pk = mcfsc_keygen(7, 10, 2, random.Random(10))
+    save_secret_key(sk, "mcfsc", tmp_path / "sk")
+    save_public_key(pk, "mcfsc", tmp_path / "pk")
+    _, sk2 = load_secret_key(tmp_path / "sk")
+    _, pk2 = load_public_key(tmp_path / "pk")
+    assert pk2.h_pub == pk.h_pub and sk2.perm == sk.perm
+    rng = random.Random(11)
+    for sig in (mcfsc_sign(b"wide", sk2, rng), forge_mcfsc(b"wide", pk2, rng).signature):
+        save_signature(sig, "mcfsc", tmp_path / "sig")
+        _, sig2 = load_signature(tmp_path / "sig")
+        assert sig2 == sig
+        assert mcfsc_verify(b"wide", sig2, pk2)
+
+
+def _replace(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+# (file kind, scheme, mutation of the file's bytes)
+MALFORMED = [
+    ("pk", "cfs", lambda text: b"not a key file\n"),
+    ("pk", "cfs", lambda text: b"\n".join(text.splitlines()[:-2]) + b"\n"),  # truncated
+    ("sig", "cfs", lambda text: b"not a key file\n"),
+    ("pk", "cfs", _replace(b"\nm 4", b"\nm x")),
+    ("sk", "cfs", _replace(b"\nm 4", b"\nm x")),
+    ("pk", "cfs", _replace(b"scheme cfs", b"scheme")),
+    ("sig", "cfs", _replace(b"scheme cfs", b"scheme")),
+    ("sk", "cfs", _replace(b"scheme cfs", b"scheme rsa")),
+    ("sk", "cfs", _replace(b"\nm 4", b"\nm 99")),
+    ("pk", "cfs", _replace(b"\nm 4", b"\nm 99")),
+    ("pk", "cfs", _replace(b"\nm 4", b"\nm 100000000000000")),
+    ("sk", "cfs", lambda text: text.replace(b"\nP ", b"\nP 0 0 ", 1)),  # not a bijection
+    ("sk", "mcfsc", lambda text: text.replace(b"\nP ", b"\nP 0 ", 1)),  # wrong length
+    ("pk", "cfs", lambda text: text + b"\xff\xfe"),  # not ASCII
+    ("sig", "cfs", lambda text: b"\xff" + text),
+    ("sk", "tilde", lambda text: text.replace(b"\nt 3", "\nt \u0663".encode(), 1)),
+    ("pk", "cfs", _replace(b"\nt 3", b"\nt 3.5")),
+    ("sk", "cfs", _replace(b"\nt 3", b"\nt 2")),
+    ("pk", "mcfsc", _replace(b"\nw 2", b"\nw two")),
+    ("pk", "mcfsc", _replace(b"\nw 2", b"\nw 0")),
+    ("sk", "mcfsc", _replace(b"\nw 2", b"\nw 3")),
+    ("sk", "tilde", _replace(b"encoder regular", b"encoder rot13")),
+    ("sig", "cfs", _replace(b"\nbits 16", b"\nbits sixteen")),
+    ("sig", "cfs", _replace(b"\nbits 16", b"\nbits 17")),
+    ("sig", "cfs", _replace(b"\ncounter ", b"\ncounter x")),
+    ("sig", "mcfsc", _replace(b"\nnonce ", b"\nnonce 1 2 ")),
+    ("sig", "tilde", _replace(b"\nerror ", b"\nerror zz")),
+]
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("good")
+    keygens = {
+        "cfs": lambda rng: cfs_keygen(4, 3, rng),
+        "mcfsc": lambda rng: mcfsc_keygen(4, 3, 2, rng),
+        "tilde": lambda rng: tilde_keygen(4, 3, 2, rng),
+    }
+    signers = {
+        "cfs": lambda sk: cfs_sign(b"m", sk),
+        "mcfsc": lambda sk: mcfsc_sign(b"m", sk, random.Random(12)),
+        "tilde": lambda sk: tilde_sign(b"m", sk),
+    }
+    files = {}
+    for scheme, keygen in keygens.items():
+        sk, pk = keygen(random.Random(9))
+        save_secret_key(sk, scheme, d / f"{scheme}.sk")
+        save_public_key(pk, scheme, d / f"{scheme}.pk")
+        save_signature(signers[scheme](sk), scheme, d / f"{scheme}.sig")
+        for kind in ("sk", "pk", "sig"):
+            files[kind, scheme] = (d / f"{scheme}.{kind}").read_bytes()
+    return files
+
+
+LOADERS = {"sk": load_secret_key, "pk": load_public_key, "sig": load_signature}
+
+
+def test_malformed_files_rejected(tmp_path, good_files):
+    for kind, scheme, mutate in MALFORMED:
+        text = good_files[kind, scheme]
+        LOADERS[kind](_write(tmp_path / "good", text))  # the unmutated file loads
+        bad = mutate(text)
+        assert bad != text
+        with pytest.raises(KeyFormatError):
+            LOADERS[kind](_write(tmp_path / "bad", bad))
+
+
+def _write(path, data):
+    path.write_bytes(data)
+    return path

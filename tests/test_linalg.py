@@ -7,7 +7,6 @@ from cfslab.linalg import (
     BitMatrix,
     BitVector,
     Permutation,
-    gaussian_solve,
     inverse,
     kernel_basis,
     mat_mul,
@@ -119,32 +118,6 @@ def test_rand_invertible_product_is_identity(r):
         s, s_inv = rand_invertible(r, rng)
         assert mat_mul(s, s_inv) == BitMatrix.identity(r)
         assert rank(s) == r  # Gaussian-elimination oracle for invertibility
-
-
-def test_gaussian_solve_identity_and_zero():
-    rng = random.Random(11)
-    b = random_vector(8, rng)
-    assert gaussian_solve(BitMatrix.identity(8), b) == b
-    h = random_matrix(5, 9, rng)
-    x = gaussian_solve(h, BitVector.zeros(5))
-    assert x is not None and mat_vec(h, x) == BitVector.zeros(5)
-
-
-def test_gaussian_solve_consistent_systems():
-    rng = random.Random(12)
-    for _ in range(100):
-        h = random_matrix(rng.randrange(1, 10), rng.randrange(1, 12), rng)
-        true_x = random_vector(h.cols, rng)
-        b = mat_vec(h, true_x)
-        x = gaussian_solve(h, b)
-        assert x is not None
-        assert mat_vec(h, x) == b
-
-
-def test_gaussian_solve_no_solution():
-    # second row is zero but the rhs bit there is 1
-    a = BitMatrix(2, 3, [0b101, 0])
-    assert gaussian_solve(a, BitVector.from_bits([0, 1])) is None
 
 
 def test_kernel_basis_spans_kernel():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cfslab.attacks import forge_mcfsc, forgery_record
 from cfslab.codehash import md_hash
 from cfslab.errors import AttemptLimitExceeded, BadParameters
 from cfslab.goppa import goppa_keygen, patterson_decode
@@ -12,6 +13,7 @@ from cfslab.schemes import (
     McfsSignature,
     TildeSignature,
     chained_digest,
+    counter_width,
     cfs_keygen,
     cfs_keys_from_parts,
     cfs_sign,
@@ -275,7 +277,7 @@ def test_tilde_reproduces_mcfsc_signing(mcfsc_keys):
     for _ in range(20):
         msg = rng.randbytes(24)
         msig = mcfsc_sign(msg, msk, rng)
-        chained = md_hash(msg, mpk.cfg).to_bytes() + _counter_bytes(msig.nonce)
+        chained = md_hash(msg, mpk.cfg).to_bytes() + _counter_bytes(msig.nonce, mpk.r)
         tsig = tilde_sign(chained, tsk)
         assert tsig.error == msig.error
 
@@ -289,6 +291,22 @@ def test_weight_gate_all_four_verifiers(cfs_keys, mcfsc_keys, tilde_keys):
     assert not mcfs_verify(b"m", McfsSignature(1, heavy), cpk)
     assert not mcfsc_verify(b"m", McfsSignature(1, heavy), mpk)
     assert not tilde_verify(b"m", TildeSignature(heavy), tpk)
+
+
+def test_verifiers_return_false_for_any_signature_value(cfs_keys, mcfsc_keys, tilde_keys):
+    _, cpk = cfs_keys
+    _, mpk = mcfsc_keys
+    _, tpk = tilde_keys
+    error = BitVector.zeros(16)
+    odd = [None, 7, "sig", TildeSignature(None), TildeSignature(b"\x00\x00"), CfsSignature(0, None)]
+    for verify, pk, wrong in (
+        (cfs_verify, cpk, McfsSignature(1, error)),
+        (mcfs_verify, cpk, CfsSignature(1, error)),
+        (mcfsc_verify, mpk, TildeSignature(error)),
+        (tilde_verify, tpk, CfsSignature(0, None)),
+    ):
+        for sig in [*odd, wrong]:
+            assert verify(b"m", sig, pk) is False
 
 
 # counters and nonces the 8-byte hashed field cannot hold, plus non-integers
@@ -339,3 +357,56 @@ def test_largest_encodable_counter_verifies(cfs_keys, mcfsc_keys):
 def test_scrambler_inverse_consistency(tilde_keys):
     sk, _ = tilde_keys
     assert inverse(sk.scrambler) == sk.scrambler_inv
+
+
+# --- n-k > 64: the counter/nonce field widens --------------------------
+
+
+def test_counter_width():
+    # 8 bytes up to n-k = 64, then the bytes that hold the largest nonce 2^(n-k)
+    assert [counter_width(r) for r in (12, 40, 64, 65, 66, 70, 71, 72)] == [8, 8, 8, 9, 9, 9, 9, 10]
+    for r in range(65, 200):
+        assert (1 << r).bit_length() <= 8 * counter_width(r) < (1 << r).bit_length() + 8
+
+
+@pytest.fixture(scope="module")
+def wide_mcfsc_keys():
+    return mcfsc_keygen(7, 10, 2, random.Random(340))  # n-k = 70
+
+
+def test_mcfsc_sign_verify_forge_wide_nonce(wide_mcfsc_keys):
+    sk, pk = wide_mcfsc_keys
+    assert pk.r == 70
+    rng = random.Random(341)
+    for i in range(5):
+        msg = b"wide %d" % i
+        sig = mcfsc_sign(msg, sk, rng)
+        assert mcfsc_verify(msg, sig, pk)
+        assert not mcfsc_verify(msg + b"!", sig, pk)
+        forgery = forge_mcfsc(msg, pk, rng)
+        assert mcfsc_verify(msg, forgery.signature, pk)
+        record = forgery_record("mcfsc", forgery, True)
+        nonce_hex = record["signature_hex"][: 2 * counter_width(70)]
+        assert int(nonce_hex, 16) == forgery.signature.nonce
+        assert len(record["signature_hex"]) == 2 * (counter_width(70) + 128 // 8)
+
+
+def test_wide_nonce_gate(wide_mcfsc_keys):
+    sk, pk = wide_mcfsc_keys
+    top = (1 << 72) - 1  # the largest value a 9-byte field holds
+    e = patterson_decode(sk.code, chained_digest(b"top", top, pk.cfg))
+    sig = McfsSignature(top, sk.perm.apply(e))
+    assert mcfsc_verify(b"top", sig, pk)
+    for nonce in (-1, 1 << 72, 1 << 100):
+        assert mcfsc_verify(b"top", McfsSignature(nonce, sig.error), pk) is False
+
+
+def test_mcfs_and_cfs_sign_verify_wide_nonce():
+    sk, pk = cfs_keygen(11, 6, random.Random(342))  # n-k = 66
+    assert pk.h_pub.rows == 66
+    sig = mcfs_sign(b"wide", sk, random.Random(343))
+    assert mcfs_verify(b"wide", sig, pk)
+    assert not mcfs_verify(b"wide", McfsSignature(sig.nonce ^ 1, sig.error), pk)
+    sig = cfs_sign(b"wide", sk)
+    assert cfs_verify(b"wide", sig, pk)
+    assert not cfs_verify(b"wide", CfsSignature(sig.counter + 1, sig.error), pk)
