@@ -96,23 +96,20 @@ def _fit(v: BitVector, s: int) -> BitVector:
 
 
 def _padded_blocks(msg: bytes, cfg: HashConfig) -> list[BitVector]:
-    """Message bits, then 1, zero fill and a 64-bit length, as s-bit blocks."""
+    """Message bits, then 1, zero fill and a 64-bit length, as s-bit blocks.
+
+    The stream is one int packed like a BitVector, built by the byte codec of
+    `linalg`; its binary string lists stream positions last to first, so
+    block i is a base-2 parse of the s characters ending s*i from the end.
+    """
     s = cfg.s
     nbits = 8 * len(msg)
-    acc = 0
-    pos = 0
-    for byte in msg:
-        for k in range(7, -1, -1):
-            acc |= ((byte >> k) & 1) << pos
-            pos += 1
-    acc |= 1 << pos
-    pos += 1
-    pos += (-(pos + 64)) % s
-    for k in range(63, -1, -1):
-        acc |= ((nbits >> k) & 1) << pos
-        pos += 1
-    mask = (1 << s) - 1
-    return [BitVector(s, (acc >> (i * s)) & mask) for i in range(pos // s)]
+    pos = nbits + 1 + (-(nbits + 65)) % s  # where the length field starts
+    acc = BitVector.from_bytes(msg, nbits).to_int() | 1 << nbits
+    acc |= BitVector.from_bytes(nbits.to_bytes(8, "big"), 64).to_int() << pos
+    end = pos + 64
+    text = format(acc, f"0{end}b")
+    return [BitVector(s, int(text[i - s : i], 2)) for i in range(end, 0, -s)]
 
 
 def md_hash(msg: bytes, cfg: HashConfig) -> BitVector:
@@ -145,8 +142,7 @@ def digest_bits(data: bytes, nbits: int) -> BitVector:
     while 8 * len(out) < nbits:
         out += hashlib.sha256(data + counter.to_bytes(4, "big")).digest()
         counter += 1
-    full = BitVector.from_bytes(out, 8 * len(out))
-    return _fit(full, nbits)
+    return BitVector.from_bytes(out[: (nbits + 7) // 8], nbits)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ check matrix and decoder tables on load; derived data (inverses, the
 public matrix of mcfsc) is recomputed rather than stored.  Which header
 fields a key file carries, whether it stores a scrambler and which counter
 field a signature has are read from the scheme's record in
-`schemes.SCHEMES`.  Anything a loader cannot parse raises KeyFormatError.
+`schemes.SCHEMES`.  Anything a loader cannot parse, and a Goppa polynomial
+that is not irreducible, raises KeyFormatError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 
 from .errors import CfsLabError, KeyFormatError
 from .gf2m import GF2m, Poly
-from .goppa import GoppaCode
+from .goppa import GoppaCode, _is_irreducible
 from .linalg import BitMatrix, BitVector, Permutation, inverse
 from .schemes import SCHEMES, Scheme
 
@@ -145,6 +146,8 @@ def load_secret_key(path: str):
         code = GoppaCode.build(field, g, _parse_field_elems(r.next("support")))
         if code.t != t:
             raise KeyFormatError("stored t disagrees with the polynomial degree")
+        if not _is_irreducible(g, field):
+            raise KeyFormatError("stored Goppa polynomial is not irreducible")
         if scheme.scrambled:
             s = r.matrix("S")
             s_inv = inverse(s)

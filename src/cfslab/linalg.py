@@ -4,7 +4,10 @@ Vectors and matrix rows are packed into Python integers: coordinate i of a
 vector is bit i of the integer, so XOR of rows is word-parallel for free.
 The byte/hex serialization is a separate, fixed convention: coordinate 0
 maps to the most significant bit of the first byte, which keeps files
-big-endian and byte-aligned regardless of length.
+big-endian and byte-aligned regardless of length.  Coordinate i is bit
+7 - (i & 7) of byte i >> 3, so once each byte's bits are reversed
+(`_BITREV`, one `bytes.translate`) the convention is exactly Python's
+little-endian int codec: `int.from_bytes`/`int.to_bytes` do the rest.
 
 Everything is immutable after construction; operations return new values.
 """
@@ -13,6 +16,10 @@ from __future__ import annotations
 
 from .errors import DimensionError
 from .metering import tick_matvec
+
+
+# _BITREV[b] is byte b with its eight bits in reverse order
+_BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _parity(x: int) -> int:
@@ -63,24 +70,15 @@ class BitVector:
     def from_bytes(cls, data: bytes, n: int) -> "BitVector":
         if len(data) != (n + 7) // 8:
             raise DimensionError("byte string has the wrong length")
-        acc = 0
-        for i in range(n):
-            if data[i >> 3] >> (7 - (i & 7)) & 1:
-                acc |= 1 << i
-        return cls(n, acc)
+        # pad bits past coordinate n - 1 in the last byte are ignored
+        return cls(n, int.from_bytes(data.translate(_BITREV), "little") & ((1 << n) - 1))
 
     @classmethod
     def from_hex(cls, s: str, n: int) -> "BitVector":
         return cls.from_bytes(bytes.fromhex(s), n)
 
     def to_bytes(self) -> bytes:
-        out = bytearray((self.n + 7) // 8)
-        bits = self._bits
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            out[i >> 3] |= 1 << (7 - (i & 7))
-            bits &= bits - 1
-        return bytes(out)
+        return self._bits.to_bytes((self.n + 7) // 8, "little").translate(_BITREV)
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()

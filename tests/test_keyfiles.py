@@ -3,7 +3,9 @@ import random
 import pytest
 
 from cfslab.attacks import forge_mcfsc
+from cfslab.cli import run
 from cfslab.errors import KeyFormatError
+from cfslab.gf2m import GF2m, Poly
 from cfslab.keyfiles import (
     load_public_key,
     load_secret_key,
@@ -111,6 +113,29 @@ def test_wide_nonce_key_and_signature_round_trip(tmp_path):
         _, sig2 = load_signature(tmp_path / "sig")
         assert sig2 == sig
         assert mcfsc_verify(b"wide", sig2, pk2)
+
+
+def test_reducible_goppa_polynomial_rejected(tmp_path, capsys):
+    # g = q^2 with q an irreducible quadratic: no root in GF(2^5), so the
+    # code builds, but the decoder needs far more than t! attempts
+    sk, _ = cfs_keygen(5, 4, random.Random(4))
+    save_secret_key(sk, "cfs", tmp_path / "sk")
+    field = GF2m(5)
+    q = next(
+        q
+        for b in range(1, 32)
+        if all((q := Poly(field, (b, 1, 1))).eval(a) for a in field.elements())
+    )
+    g_line = "g " + " ".join(f"{c:x}" for c in (q * q).coeffs)
+    lines = (tmp_path / "sk").read_text().splitlines()
+    lines = [g_line if ln.startswith("g ") else ln for ln in lines]
+    (tmp_path / "sk").write_text("\n".join(lines) + "\n")
+    with pytest.raises(KeyFormatError, match="not irreducible"):
+        load_secret_key(tmp_path / "sk")
+    capsys.readouterr()
+    argv = ["sign", "--sk", str(tmp_path / "sk"), "--msg-hex", "00", "--sig", str(tmp_path / "sig")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _replace(old, new):
