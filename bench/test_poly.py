@@ -1,0 +1,82 @@
+"""Polynomial arithmetic over GF(2^m) at the sizes Patterson decoding uses.
+
+Operands come from the code a seeded keygen draws: g is its Goppa
+polynomial, f a random polynomial of degree < t.  The two sizes are the
+census workload's m=5,t=3 and the retry signer's m=10 range at t=6.
+"""
+
+import random
+
+import pytest
+
+from cfslab.gf2m import (
+    Poly,
+    frobenius_mod,
+    partial_euclid,
+    poly_mod_inv,
+    poly_sqrt_mod_g,
+)
+from cfslab.goppa import goppa_keygen
+
+PARAMS = [(5, 3), (10, 6)]
+IDS = [f"m{m}t{t}" for m, t in PARAMS]
+
+
+@pytest.fixture(scope="module", params=PARAMS, ids=IDS)
+def operands(request):
+    m, t = request.param
+    rng = random.Random(100 * m + t)
+    code = goppa_keygen(m, t, rng)
+    while True:
+        f = Poly(code.field, [rng.getrandbits(m) for _ in range(t)])
+        if f.degree == t - 1:
+            return code, f
+
+
+def test_mul(benchmark, operands):
+    code, f = operands
+    benchmark.group = f"Poly * m={code.m},t={code.t}"
+    assert benchmark(lambda: f * code.g).degree == f.degree + code.t
+
+
+def test_divmod(benchmark, operands):
+    code, f = operands
+    prod = f * f * f
+    benchmark.group = f"divmod m={code.m},t={code.t}"
+    q, r = benchmark(divmod, prod, code.g)
+    assert q * code.g + r == prod
+
+
+def test_poly_mod_inv(benchmark, operands):
+    code, f = operands
+    benchmark.group = f"poly_mod_inv m={code.m},t={code.t}"
+    inv = benchmark(poly_mod_inv, f, code.g)
+    assert (inv * f) % code.g == Poly.one(code.field)
+
+
+def test_poly_sqrt_mod_g(benchmark, operands):
+    code, f = operands
+    benchmark.group = f"poly_sqrt_mod_g m={code.m},t={code.t}"
+    root = benchmark(poly_sqrt_mod_g, f, code.g, code._sqrt_x)
+    assert (root * root) % code.g == f
+
+
+def test_partial_euclid(benchmark, operands):
+    code, f = operands
+    benchmark.group = f"partial_euclid m={code.m},t={code.t}"
+    u, v = benchmark(partial_euclid, code.g, f, code.t // 2)
+    assert (u + v * f) % code.g == Poly.zero(code.field)
+
+
+def test_frobenius_mod(benchmark, operands):
+    code, f = operands
+    benchmark.group = f"frobenius_mod x^(2^m) m={code.m},t={code.t}"
+    x = Poly.x(code.field)
+    h = benchmark(frobenius_mod, x, code.g, code.m)
+    assert h.degree < code.t
+
+
+def test_goppa_keygen_10_6(benchmark):
+    benchmark.group = "goppa_keygen m=10,t=6"
+    code = benchmark(lambda: goppa_keygen(10, 6, random.Random(3)))
+    assert code.n_minus_k == 60

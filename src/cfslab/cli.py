@@ -44,6 +44,12 @@ def _message(args) -> bytes:
     raise CfsLabError("one of --msg-hex or --msg-file is required")
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_message_args(p) -> None:
     p.add_argument("--msg-hex", help="message bytes as hex")
     p.add_argument("--msg-file", help="message file (raw bytes)")
@@ -222,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-t", type=int, required=True)
     p.add_argument("-w", type=int, required=True)
-    p.add_argument("--messages", type=int, default=100)
+    p.add_argument("--messages", type=_positive_int, default=100)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_bench)
 

@@ -114,13 +114,7 @@ def _padded_blocks(msg: bytes, cfg: HashConfig) -> list[BitVector]:
 
 def md_hash(msg: bytes, cfg: HashConfig) -> BitVector:
     """Full Merkle-Damgard digest: r bits."""
-    chain: BitVector = cfg.iv
-    digest = None
-    for block in _padded_blocks(msg, cfg):
-        state = _fit(chain, cfg.s) ^ block
-        digest = compress(state, cfg)
-        chain = digest
-    return digest
+    return compress(md_final_state(msg, cfg), cfg)
 
 
 def md_final_state(msg: bytes, cfg: HashConfig) -> BitVector:

@@ -22,9 +22,19 @@ one per extension degree (classic table, x is a generator in every case):
 
 Pinning the table makes key generation reproducible across runs and
 machines.  Everything here is a pure function on immutable values.
+
+Validation happens where a value enters, not on every multiply.  The public
+`GF2m` methods check their operands, `Poly(field, coeffs)` checks every
+coefficient, `Poly.eval` checks its point and `Poly.scale` its factor; a
+value outside the field raises ValueError there.  Past those gates a `Poly`'s coefficients are field
+elements by construction, so `Poly` arithmetic, `frobenius_mod` and
+`poly_roots` index the exp/log tables directly and build their results with
+an unchecked constructor.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from .errors import DegenerateSyndrome, InversionOfZero, NotInvertible
 
@@ -93,9 +103,6 @@ class GF2m:
             raise InversionOfZero("zero has no multiplicative inverse")
         return self._exp[self.order - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self._check(a)
         if a == 0:
@@ -129,28 +136,31 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: GF2m, coeffs=()):
-        coeffs = tuple(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        coeffs = list(coeffs)
         for c in coeffs:
             field._check(c)
+        self._fill(field, coeffs)
+
+    def _fill(self, field: GF2m, coeffs: list) -> None:
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, field: GF2m) -> "Poly":
-        return cls(field)
+        return _poly(field, [])
 
     @classmethod
     def one(cls, field: GF2m) -> "Poly":
-        return cls(field, (1,))
+        return _poly(field, [1])
 
     @classmethod
     def x(cls, field: GF2m) -> "Poly":
-        return cls(field, (0, 1))
+        return _poly(field, [0, 1])
 
     @property
     def degree(self) -> int:
@@ -163,51 +173,49 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, (self[i] ^ other[i] for i in range(n)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return _poly(self.field, [a ^ b for a, b in pairs])
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        mul = self.field.mul
+        field = self.field
+        exp, log = field._exp, field._log
+        logs_b = [(j, log[b]) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] ^= mul(a, b)
-        return Poly(self.field, out)
+            if a:
+                la = log[a]
+                for j, lb in logs_b:
+                    out[i + j] ^= exp[la + lb]
+        return _poly(field, out)
 
     def scale(self, c: int) -> "Poly":
-        mul = self.field.mul
-        return Poly(self.field, (mul(c, a) for a in self.coeffs))
+        self.field._check(c)
+        return self * _poly(self.field, [c])
 
     def __divmod__(self, divisor: "Poly"):
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
+        exp, log = field._exp, field._log
+        order1 = field.order - 1
         rem = list(self.coeffs)
         dd = divisor.degree
-        lead_inv = field.inv(divisor.coeffs[-1])
+        lead = log[divisor.coeffs[-1]]
+        low = [(j, log[b]) for j, b in enumerate(divisor.coeffs[:-1]) if b]
         q = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
-            if c == 0:
-                continue
-            f = field.mul(c, lead_inv)
-            q[i - dd] = f
-            for j, b in enumerate(divisor.coeffs):
-                rem[i - dd + j] ^= field.mul(f, b)
-        return Poly(field, q), Poly(field, rem)
+            if c:
+                lq = (log[c] - lead) % order1
+                q[i - dd] = exp[lq]
+                for j, lb in low:
+                    rem[i - dd + j] ^= exp[lq + lb]
+        return _poly(field, q), _poly(field, rem[:dd])
 
     def __mod__(self, divisor: "Poly") -> "Poly":
         return divmod(self, divisor)[1]
-
-    def __floordiv__(self, divisor: "Poly") -> "Poly":
-        return divmod(self, divisor)[0]
 
     def __eq__(self, other) -> bool:
         return (
@@ -222,25 +230,28 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        field = self.field
+        return self * _poly(field, [field._exp[field.order - 1 - field._log[self.coeffs[-1]]]])
 
     def eval(self, point: int) -> int:
         field = self.field
+        field._check(point)
+        exp, log = field._exp, field._log
+        lp = log[point]  # log[0] is a placeholder: a zero point keeps only f_0
         acc = 0
         for c in reversed(self.coeffs):
-            acc = field.mul(acc, point) ^ c
+            acc = (exp[log[acc] + lp] if acc and point else 0) ^ c
         return acc
-
-    def frobenius_square(self) -> "Poly":
-        """Square via (sum a_i x^i)^2 = sum a_i^2 x^(2i)."""
-        field = self.field
-        out = [0] * (2 * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[2 * i] = field.mul(c, c)
-        return Poly(field, out)
 
     def __repr__(self) -> str:
         return f"Poly(GF2m({self.field.m}), {list(self.coeffs)})"
+
+
+def _poly(field: GF2m, coeffs: list) -> Poly:
+    """A Poly from a list of field elements, taken over and not checked."""
+    p = Poly.__new__(Poly)
+    p._fill(field, coeffs)
+    return p
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -250,20 +261,42 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_mod_inv(f: Poly, g: Poly) -> Poly:
-    """Inverse of f modulo g via the extended Euclidean algorithm.
+    """Inverse of f modulo g: extended Euclid run down to a constant.
 
     Raises NotInvertible when gcd(f, g) is not constant.
     """
-    field = f.field
-    r0, r1 = g, f % g
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 + q * t1
-    if r0.degree != 0:
+    b = f % g
+    u, v = partial_euclid(g, b, 0) if b.coeffs else (b, None)
+    if u.is_zero():  # the last nonzero remainder, gcd(f, g), is not constant
         raise NotInvertible("polynomials are not coprime")
-    return t0.scale(field.inv(r0.coeffs[0])) % g
+    return v.scale(g.field.inv(u.coeffs[0]))
+
+
+def frobenius_mod(h: Poly, f: Poly, k: int) -> Poly:
+    """h^(2^k) mod a nonzero f, monic or not, by k squarings on the tables.
+
+    A square is (sum a_i x^i)^2 = sum a_i^2 x^(2i); each one is reduced
+    mod f, highest term first, before the next squaring.
+    """
+    h = list((h % f).coeffs)
+    field = f.field
+    exp, log = field._exp, field._log
+    d = f.degree
+    lead = log[f.coeffs[-1]]
+    # (j, log of f_j / lead) for the nonzero terms below the leading one
+    low = [(j, (log[c] - lead) % (field.order - 1)) for j, c in enumerate(f.coeffs[:-1]) if c]
+    for _ in range(k):
+        sq = [0] * (2 * len(h) - 1)
+        sq[::2] = [exp[2 * log[c]] if c else 0 for c in h]
+        for top in range(len(sq) - 1, d - 1, -1):
+            c = sq[top]
+            if c:
+                lc = log[c]
+                base = top - d
+                for j, lj in low:
+                    sq[base + j] ^= exp[lc + lj]
+        h = sq[:d]
+    return _poly(field, h)
 
 
 def sqrt_x_mod(g: Poly, m: int) -> Poly:
@@ -272,10 +305,7 @@ def sqrt_x_mod(g: Poly, m: int) -> Poly:
     The residue field has 2^(m*t) elements, so squaring m*t - 1 times
     inverts one squaring.
     """
-    h = Poly.x(g.field)
-    for _ in range(m * g.degree - 1):
-        h = h.frobenius_square() % g
-    return h
+    return frobenius_mod(Poly.x(g.field), g, m * g.degree - 1)
 
 
 def poly_sqrt_mod_g(f: Poly, g: Poly, sqrt_x: Poly | None = None) -> Poly:
@@ -288,8 +318,9 @@ def poly_sqrt_mod_g(f: Poly, g: Poly, sqrt_x: Poly | None = None) -> Poly:
     f = f % g
     if sqrt_x is None:
         sqrt_x = sqrt_x_mod(g, field.m)
-    even = Poly(field, (field.sqrt(c) for c in f.coeffs[0::2]))
-    odd = Poly(field, (field.sqrt(c) for c in f.coeffs[1::2]))
+    sqrt = field._sqrt
+    even = _poly(field, [sqrt[c] for c in f.coeffs[0::2]])
+    odd = _poly(field, [sqrt[c] for c in f.coeffs[1::2]])
     return (even + sqrt_x * odd) % g
 
 
@@ -299,11 +330,10 @@ def poly_roots(f: Poly, points) -> list[int] | None:
 
     The split test comes first: f has deg f distinct roots in the field iff
     f divides x^(2^m) - x, i.e. iff x^(2^m) == x (mod f), which takes m
-    squarings mod f.  Only a splitting f is evaluated at the points, by
-    Horner's rule in the log domain, and the scan stops at the deg f-th
-    root.  The zero polynomial is never split.  Arithmetic runs on the
-    exp/log tables directly: f's coefficients were checked when f was
-    built, and the points must be field elements (a code support is).
+    squarings mod f (`frobenius_mod`).  Only a splitting f is evaluated at
+    the points, by Horner's rule in the log domain, and the scan stops at
+    the deg f-th root.  The zero polynomial is never split.  The points
+    must be field elements (a code support is); they are not checked.
     """
     field = f.field
     exp, log = field._exp, field._log
@@ -312,29 +342,9 @@ def poly_roots(f: Poly, points) -> list[int] | None:
         return None
     if d == 0:
         return []
-    # monic copy of f; exp[] is long enough to index with a sum of two logs
-    inv_lead = field.order - 1 - log[f.coeffs[-1]]
-    mon = [exp[log[c] + inv_lead] if c else 0 for c in f.coeffs]
-    if d >= 2:
-        # (j, log f_j) for the nonzero terms below the leading one
-        low = [(j, log[c]) for j, c in enumerate(mon[:-1]) if c]
-        x_mod_f = [0, 1] + [0] * (d - 2)
-        h = x_mod_f
-        for _ in range(field.m):
-            sq = [0] * (2 * d - 1)
-            for i, c in enumerate(h):
-                if c:
-                    sq[2 * i] = exp[2 * log[c]]
-            for k in range(2 * d - 2, d - 1, -1):
-                c = sq[k]
-                if c:
-                    lc = log[c]
-                    base = k - d
-                    for j, lj in low:
-                        sq[base + j] ^= exp[lc + lj]
-            h = sq[:d]
-        if h != x_mod_f:
-            return None
+    if d >= 2 and frobenius_mod(Poly.x(field), f, field.m).coeffs != (0, 1):
+        return None
+    mon = f.monic().coeffs
     rest = mon[-2::-1]  # coefficients below the leading 1, highest first
     roots = []
     for i, p in enumerate(points):

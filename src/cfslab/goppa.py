@@ -17,6 +17,8 @@ from .errors import BadParameters, CensusInfeasible, DimensionError
 from .gf2m import (
     GF2m,
     Poly,
+    _poly,
+    frobenius_mod,
     partial_euclid,
     poly_gcd,
     poly_mod_inv,
@@ -71,18 +73,12 @@ class GoppaCode:
 
         The raw bits group into t field elements s_u = sum x_i^u / g(x_i);
         the classical syndrome polynomial coefficients are the triangular
-        combination S_j = sum_u g_{j+1+u} * s_u.
+        combination S_j = sum_u g_{j+1+u} * s_u, which is coefficient j + t
+        of g(x) * sum_u s_u x^(t-1-u).
         """
-        m, t = self.m, self.t
-        raw = [(s.to_int() >> (u * m)) & (self.field.order - 1) for u in range(t)]
-        mul = self.field.mul
-        coeffs = []
-        for j in range(t):
-            acc = 0
-            for u in range(t - j):
-                acc ^= mul(self.g[j + 1 + u], raw[u])
-            coeffs.append(acc)
-        return Poly(self.field, coeffs)
+        m, t, bits = self.m, self.t, s.to_int()
+        raw = [(bits >> (u * m)) & (self.field.order - 1) for u in reversed(range(t))]
+        return _poly(self.field, list((self.g * _poly(self.field, raw)).coeffs[t:]))
 
     def __repr__(self) -> str:
         return f"GoppaCode(m={self.m}, t={self.t}, n={self.n})"
@@ -98,8 +94,7 @@ def _is_irreducible(g: Poly, field: GF2m) -> bool:
     x = Poly.x(field)
     h = x
     for _ in range(g.degree // 2):
-        for _ in range(field.m):
-            h = h.frobenius_square() % g
+        h = frobenius_mod(h, g, field.m)
         if poly_gcd(h + x, g).degree != 0:
             return False
     return True

@@ -167,6 +167,8 @@ def load_public_key(path: str):
         h = r.matrix("H")
         if h.cols.bit_length() - 1 != m or h.cols & (h.cols - 1):
             raise KeyFormatError("stored m disagrees with the matrix width")
+        if h.rows != m * t:
+            raise KeyFormatError("stored t disagrees with the matrix height")
         return name, scheme.public_key(h, t, **fields)
 
 

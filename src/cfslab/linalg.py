@@ -178,9 +178,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self._rows[i])
 
-    def row_int(self, i: int) -> int:
-        return self._rows[i]
-
     def column_int(self, j: int) -> int:
         if not 0 <= j < self.cols:
             raise IndexError(j)
@@ -282,12 +279,7 @@ class Permutation:
         """H * P: column j of the result is column mapping[j] of H."""
         if mat.cols != self.n:
             raise DimensionError("column count mismatch in permutation")
-        rows = []
-        for r in mat._rows:
-            acc = 0
-            for j, src in enumerate(self.mapping):
-                acc |= ((r >> src) & 1) << j
-            rows.append(acc)
+        rows = [self.apply(mat.row(i)).to_int() for i in range(mat.rows)]
         return BitMatrix(mat.rows, mat.cols, rows)
 
     def inverse(self) -> "Permutation":

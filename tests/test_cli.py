@@ -103,6 +103,13 @@ def test_bench_record(capsys):
     assert 1 <= record["cfs"]["mean_attempts"] < 30
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "x"])
+def test_bench_rejects_a_message_count_below_one(capsys, count):
+    argv = ["bench", "-m", "4", "-t", "3", "-w", "2", "--messages", count, "--seed", "2"]
+    assert run(argv) == 2
+    assert "--messages" in capsys.readouterr().err
+
+
 def test_seeded_reruns_are_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -174,6 +181,7 @@ HOSTILE = {
     "pk-w-not-int": ("verify", "pk", b"\nw 2", b"\nw 2.0"),
     "sig-bits-not-int": ("verify", "sig", b"\nbits 16", b"\nbits 0x10"),
     "sig-nonce-not-int": ("verify", "sig", b"\nnonce ", b"\nnonce n"),
+    "pk-t-disagrees-with-H": ("verify", "pk", b"\nt 3", b"\nt 9"),
 }
 
 

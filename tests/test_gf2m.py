@@ -6,6 +6,7 @@ from cfslab.errors import DegenerateSyndrome, InversionOfZero, NotInvertible
 from cfslab.gf2m import (
     GF2m,
     Poly,
+    frobenius_mod,
     partial_euclid,
     poly_gcd,
     poly_mod_inv,
@@ -85,6 +86,119 @@ def test_addition_is_xor_self_cancelling():
         assert a ^ a == 0
 
 
+def test_poly_constructor_checks_coefficients():
+    for bad in ([16], [-1], [1, 16, 1], [3, -1]):
+        with pytest.raises(ValueError):
+            Poly(F16, bad)
+    assert Poly(F16, [15, 0, 0]).coeffs == (15,)
+
+
+def test_poly_eval_checks_its_point():
+    f = Poly(F16, (1, 1))
+    for bad in (16, -1):
+        with pytest.raises(ValueError):
+            f.eval(bad)
+    with pytest.raises(ValueError):
+        Poly.zero(F16).eval(16)
+
+
+# --- Poly against schoolbook code on the checked GF2m methods --------------
+
+
+def _strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return _strip((a[i] if i < len(a) else 0) ^ (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(field, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= field.mul(x, y)
+    return _strip(out)
+
+
+def ref_divmod(field, a, b):
+    rem, q = list(a), [0] * len(a)
+    lead_inv = field.inv(b[-1])
+    for i in range(len(rem) - 1, len(b) - 2, -1):
+        c = field.mul(rem[i], lead_inv)
+        q[i - len(b) + 1] = c
+        for j, y in enumerate(b):
+            rem[i - len(b) + 1 + j] ^= field.mul(c, y)
+    return _strip(q), _strip(rem)
+
+
+def ref_eval(field, a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = field.mul(acc, x) ^ c
+    return acc
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_poly_arithmetic_matches_schoolbook(m):
+    field = GF2m(m)
+    rng = random.Random(60 + m)
+    polys = [Poly.zero(field), Poly.one(field), Poly.x(field)]
+    polys += [random_poly(field, rng.randrange(0, 8), rng) for _ in range(40)]
+    for a in polys:
+        for b in rng.sample(polys, 8) + [Poly.zero(field)]:
+            assert (a + b).coeffs == ref_add(a.coeffs, b.coeffs)
+            assert (a * b).coeffs == ref_mul(field, a.coeffs, b.coeffs)
+            if b.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(a, b)
+                continue
+            q, r = divmod(a, b)
+            assert (q.coeffs, r.coeffs) == ref_divmod(field, a.coeffs, b.coeffs)
+            assert (a % b).coeffs == r.coeffs
+        c = rng.randrange(field.order)
+        assert a.scale(c).coeffs == _strip(field.mul(c, x) for x in a.coeffs)
+        assert a.scale(0).is_zero()
+        if not a.is_zero():
+            lead_inv = field.inv(a.coeffs[-1])
+            assert a.monic().coeffs == _strip(field.mul(lead_inv, x) for x in a.coeffs)
+        for x in field.elements():
+            assert a.eval(x) == ref_eval(field, a.coeffs, x)
+
+
+def test_poly_scale_checks_its_factor():
+    for bad in (16, -1):
+        with pytest.raises(ValueError):
+            Poly.one(F16).scale(bad)
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 8])
+def test_frobenius_mod_matches_repeated_squaring(m):
+    field = GF2m(m)
+    rng = random.Random(70 + m)
+    for _ in range(60):
+        f = random_poly(field, rng.randrange(0, 7), rng)
+        if f.is_zero():
+            continue
+        # any leading coefficient (non-monic f), deg f from 0 up, and h of
+        # degree above deg f so that the first reduction matters
+        h = random_poly(field, rng.randrange(0, 2 * f.degree + 3), rng)
+        for k in range(5):
+            expected = h % f
+            for _ in range(k):
+                expected = (expected * expected) % f
+            assert frobenius_mod(h, f, k) == expected
+    # a linear f has its root in the field, so x^(2^m) == x mod f
+    x = Poly.x(field)
+    lin = Poly(field, (3, 2))
+    assert frobenius_mod(x, lin, m) == x % lin
+    assert frobenius_mod(x * x * x, lin, m) == (x * x * x) % lin
+
+
 # --- polynomial ring -------------------------------------------------------
 
 
@@ -132,6 +246,13 @@ def test_poly_mod_inv_rejects_non_coprime():
     g = Poly(F16, (0, 0, 1))  # x^2, shares the factor x
     with pytest.raises(NotInvertible):
         poly_mod_inv(f, g)
+
+
+def test_poly_mod_inv_of_a_multiple_of_g_is_not_invertible():
+    g = irreducible_g(F16, 3, seed=1)
+    for f in (g, Poly.zero(F16), g * Poly(F16, (5, 1))):
+        with pytest.raises(NotInvertible):
+            poly_mod_inv(f, g)
 
 
 def test_poly_sqrt_trivial_cases():

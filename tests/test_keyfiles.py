@@ -142,6 +142,19 @@ def _replace(old, new):
     return lambda text: text.replace(old, new, 1)
 
 
+def _first_value(name, value):
+    """Replace the first value on the line that starts with `name`."""
+
+    def mutate(text):
+        lines = text.split(b"\n")
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(name + b" "))
+        toks = lines[i].split(b" ")
+        lines[i] = b" ".join([toks[0], value, *toks[2:]])
+        return b"\n".join(lines)
+
+    return mutate
+
+
 # (file kind, scheme, mutation of the file's bytes)
 MALFORMED = [
     ("pk", "cfs", lambda text: b"not a key file\n"),
@@ -171,6 +184,16 @@ MALFORMED = [
     ("sig", "cfs", _replace(b"\ncounter ", b"\ncounter x")),
     ("sig", "mcfsc", _replace(b"\nnonce ", b"\nnonce 1 2 ")),
     ("sig", "tilde", _replace(b"\nerror ", b"\nerror zz")),
+    # t must match the public matrix: m*t rows
+    ("pk", "cfs", _replace(b"\nt 3", b"\nt 9")),
+    ("pk", "cfs", _replace(b"\nt 3", b"\nt 2")),
+    ("pk", "mcfsc", _replace(b"\nt 3", b"\nt 9")),
+    ("pk", "mcfsc", _replace(b"\nt 3", b"\nt 2")),
+    # field elements outside GF(16)
+    ("sk", "cfs", _first_value(b"g", b"1f")),
+    ("sk", "cfs", _first_value(b"g", b"-1")),
+    ("sk", "cfs", _first_value(b"support", b"10")),
+    ("sk", "cfs", _first_value(b"support", b"-1")),
 ]
 
 
