@@ -1,9 +1,10 @@
 """patterson_decode on syndromes that fail and on syndromes that decode.
 
 Retry signing spends almost all its decoder time on failing syndromes
-(about 1 - 1/t! of them) and stops at the split test; single-decode
-signing and the census's hits take the decodable path, which goes on to
-scan the support for the roots.
+(about 1 - 1/t! of them); single-decode signing and the census's hits
+decode.  Both take one path: the locator's roots come from the bit-sliced
+root mask whatever the outcome, and only a locator with deg sigma roots
+goes on to the H * e = s re-check.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 from cfslab.goppa import goppa_keygen, patterson_decode
 from cfslab.linalg import BitVector, mat_vec
 
-PARAMS = [(5, 3), (10, 4)]
+PARAMS = [(5, 3), (10, 4), (10, 6), (12, 8)]
 BATCH = 64
 
 

@@ -26,10 +26,12 @@ machines.  Everything here is a pure function on immutable values.
 Validation happens where a value enters, not on every multiply.  The public
 `GF2m` methods check their operands, `Poly(field, coeffs)` checks every
 coefficient, `Poly.eval` checks its point and `Poly.scale` its factor; a
-value outside the field raises ValueError there.  Past those gates a `Poly`'s coefficients are field
-elements by construction, so `Poly` arithmetic, `frobenius_mod` and
-`poly_roots` index the exp/log tables directly and build their results with
-an unchecked constructor.
+value outside the field raises ValueError there.  Past those gates a
+`Poly`'s coefficients are field elements by construction, so `Poly`
+arithmetic and `frobenius_mod` index the exp/log tables directly and build
+their results with an unchecked constructor.  Root finding is not here: the
+decoder reads a locator's roots off the code's bit-sliced parity-check rows
+(`goppa.GoppaCode.root_mask`).
 """
 
 from __future__ import annotations
@@ -215,6 +217,8 @@ class Poly:
         return _poly(field, q), _poly(field, rem[:dd])
 
     def __mod__(self, divisor: "Poly") -> "Poly":
+        if len(self.coeffs) < len(divisor.coeffs):
+            return self  # already reduced (and immutable)
         return divmod(self, divisor)[1]
 
     def __eq__(self, other) -> bool:
@@ -263,7 +267,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def poly_mod_inv(f: Poly, g: Poly) -> Poly:
     """Inverse of f modulo g: extended Euclid run down to a constant.
 
-    Raises NotInvertible when gcd(f, g) is not constant.
+    f is reduced mod g once, here; `%` hands back an f of lower degree
+    than g unchanged, so neither this step nor the one that opens
+    `partial_euclid` divides again.  Raises NotInvertible when gcd(f, g)
+    is not constant.
     """
     b = f % g
     u, v = partial_euclid(g, b, 0) if b.coeffs else (b, None)
@@ -322,44 +329,6 @@ def poly_sqrt_mod_g(f: Poly, g: Poly, sqrt_x: Poly | None = None) -> Poly:
     even = _poly(field, [sqrt[c] for c in f.coeffs[0::2]])
     odd = _poly(field, [sqrt[c] for c in f.coeffs[1::2]])
     return (even + sqrt_x * odd) % g
-
-
-def poly_roots(f: Poly, points) -> list[int] | None:
-    """Positions i, in increasing order, with f(points[i]) == 0; or None
-    when f cannot have deg f distinct roots in GF(2^m).
-
-    The split test comes first: f has deg f distinct roots in the field iff
-    f divides x^(2^m) - x, i.e. iff x^(2^m) == x (mod f), which takes m
-    squarings mod f (`frobenius_mod`).  Only a splitting f is evaluated at
-    the points, by Horner's rule in the log domain, and the scan stops at
-    the deg f-th root.  The zero polynomial is never split.  The points
-    must be field elements (a code support is); they are not checked.
-    """
-    field = f.field
-    exp, log = field._exp, field._log
-    d = f.degree
-    if d < 0:
-        return None
-    if d == 0:
-        return []
-    if d >= 2 and frobenius_mod(Poly.x(field), f, field.m).coeffs != (0, 1):
-        return None
-    mon = f.monic().coeffs
-    rest = mon[-2::-1]  # coefficients below the leading 1, highest first
-    roots = []
-    for i, p in enumerate(points):
-        if p:
-            lp = log[p]
-            acc = 1
-            for c in rest:
-                acc = exp[log[acc] + lp] ^ c if acc else c
-        else:
-            acc = mon[0]
-        if not acc:
-            roots.append(i)
-            if len(roots) == d:
-                break
-    return roots
 
 
 def partial_euclid(a: Poly, b: Poly, stop_deg: int) -> tuple[Poly, Poly]:

@@ -6,6 +6,13 @@ for j = 0..t-1 and then expanded bitwise to GF(2) (bit b of a field
 element lands in binary row j*m + b).  The support is the whole field in
 a shuffled order, so n = 2^m and n - k = m*t once the expansion has full
 rank; rank-deficient draws are thrown away and regenerated.
+
+Those binary rows are the field values bit-sliced over the support, so
+the decoder's root search reads them back: alpha^s times the m rows of
+block j, for every s < m, is precomputed once per code, and a locator's
+value at every support position is then a handful of big-int XORs
+(`GoppaCode.root_mask`, after McBits' bit-sliced root search).  The table
+holds m*t entries of m*n bits, 18 MiB at m=16, t=9.
 """
 
 from __future__ import annotations
@@ -22,12 +29,27 @@ from .gf2m import (
     partial_euclid,
     poly_gcd,
     poly_mod_inv,
-    poly_roots,
     poly_sqrt_mod_g,
     sqrt_x_mod,
 )
 from .linalg import BitMatrix, BitVector, mat_vec, rank
 from .metering import tick_decode
+
+
+# _PLANE_CHARS[b] maps a byte to the ASCII digit of its bit b, so one
+# `bytes.translate` turns a byte per support position into a binary numeral
+_PLANE_CHARS = [bytes(0x30 | (v >> b) & 1 for v in range(256)) for b in range(8)]
+
+
+def _bit_planes(values: list[int], m: int) -> list[int]:
+    """Transpose m-bit field elements into m packed rows: bit i of row b is
+    bit b of values[i]."""
+    if not values:
+        return [0] * m  # int(b"", 2) would raise
+    rev = values[::-1]  # int(..., 2) reads the most significant digit first
+    low = bytes([v & 0xFF for v in rev])
+    high = bytes([v >> 8 for v in rev]) if m > 8 else b""
+    return [int((low if b < 8 else high).translate(_PLANE_CHARS[b & 7]), 2) for b in range(m)]
 
 
 class GoppaCode:
@@ -44,26 +66,99 @@ class GoppaCode:
         self.n_minus_k = self.t * self.m
         # sqrt(x) mod g, precomputed once for the decoder
         self._sqrt_x = sqrt_x_mod(g, field.m)
+        self._all_positions = (1 << self.n) - 1
+        self._root_table = self._alpha_multiples()
+
+    def _alpha_multiples(self) -> list[list[int]]:
+        """The bit-sliced tables `root_mask` reads, m*n bits per entry.
+
+        Rows j*m .. j*m+m-1 of H are the m bit planes of x_i^j / g(x_i);
+        packed side by side (plane b at bit offset b*n) they form Y_j, and
+        entry [j][s] is alpha^s * Y_j.  Multiplying a packed value by alpha
+        shifts every plane up one; the plane pushed out at the top is x^m,
+        which the field's modulus folds back into the planes of its lower
+        terms.  Entry [t][s] is the constant alpha^s at every position.
+        """
+        m, n, t = self.m, self.n, self.t
+        rows = self.h._rows
+        low = (1 << ((m - 1) * n)) - 1
+        reduce_by = sum(1 << (b * n) for b in range(m) if (self.field.modulus >> b) & 1)
+        table = []
+        for j in range(t):
+            y = sum(rows[j * m + b] << (b * n) for b in range(m))
+            entry = []
+            for _ in range(m):
+                entry.append(y)
+                y = ((y & low) << n) ^ (y >> ((m - 1) * n)) * reduce_by
+            table.append(entry)
+        table.append([self._all_positions << (s * n) for s in range(m)])
+        return table
 
     @classmethod
     def build(cls, field: GF2m, g: Poly, support) -> "GoppaCode":
         support = tuple(support)
         if len(set(support)) != len(support):
             raise BadParameters("support elements must be distinct")
-        if any(g.eval(x) == 0 for x in support):
+        m, t = field.m, g.degree
+        exp, log, q1 = field._exp, field._log, field.order - 1
+        for x in support:
+            field._check(x)
+        # log x, with log 0 = 0 as a placeholder: the zero element is patched below
+        lx = [log[x] for x in support]
+        gx = [0] * len(support)
+        for c in reversed(g.coeffs):  # Horner's rule at every position at once
+            gx = [(exp[log[a] + l] if a else 0) ^ c for a, l in zip(gx, lx)]
+        zero = support.index(0) if 0 in support else None
+        if zero is not None:
+            gx[zero] = g[0]
+        if 0 in gx:
             raise BadParameters("support contains a root of g")
-        t = g.degree
-        rows_gf2 = [0] * (t * field.m)
-        for i, x in enumerate(support):
-            ginv = field.inv(g.eval(x))
-            e = ginv
-            for j in range(t):
-                for b in range(field.m):
-                    if (e >> b) & 1:
-                        rows_gf2[j * field.m + b] |= 1 << i
-                e = field.mul(e, x)
-        h = BitMatrix(t * field.m, len(support), rows_gf2)
-        return cls(field, g, support, h)
+        lginv = [q1 - log[v] for v in gx]  # log of 1/g(x_i)
+        rows = []
+        for j in range(t):
+            values = [exp[(lg + j * l) % q1] for lg, l in zip(lginv, lx)]
+            if zero is not None and j:
+                values[zero] = 0
+            rows += _bit_planes(values, m)
+        return cls(field, g, support, BitMatrix(t * m, len(support), rows))
+
+    def root_mask(self, sigma: Poly) -> int:
+        """The support positions where sigma vanishes, as an n-bit int
+        (bit i set iff sigma(x_i) == 0); deg sigma must not exceed t.
+
+        sigma(x_i) / g(x_i) = sum_j sigma_j * x_i^j / g(x_i) is computed at
+        every position at once, bit-sliced: coefficient c of x^j adds
+        alpha^s * Y_j for each set bit s of c.  Since g(x_i) != 0, the
+        positions whose m planes are all zero are the roots.
+        """
+        coeffs = list(sigma.coeffs)
+        t = self.t
+        if len(coeffs) > t + 1:
+            raise ValueError(f"degree {sigma.degree} is above t = {t}")
+        if len(coeffs) == t + 1:
+            # H has no planes for x^t / g.  Since 2 = 0,
+            # x^t / g = (1 + sum_{j<t} g_j x^j / g) / g_t, so with
+            # c = sigma_t / g_t the top term folds into the lower
+            # coefficients as c * g_j and leaves the constant c behind,
+            # which table entry [t] spreads over every position.
+            field = self.field
+            exp, log = field._exp, field._log
+            lc = (log[coeffs[t]] - log[self.g.coeffs[t]]) % (field.order - 1)
+            for j, gj in enumerate(self.g.coeffs[:t]):
+                if gj:
+                    coeffs[j] ^= exp[lc + log[gj]]
+            coeffs[t] = exp[lc]
+        acc = 0
+        for entry, c in zip(self._root_table, coeffs):
+            while c:
+                low = c & -c
+                acc ^= entry[low.bit_length() - 1]
+                c ^= low
+        n = self.n
+        nonzero = acc
+        for b in range(1, self.m):
+            nonzero |= acc >> (b * n)
+        return ~nonzero & self._all_positions
 
     def syndrome_of(self, e: BitVector) -> BitVector:
         return mat_vec(self.h, e)
@@ -133,11 +228,9 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector | None:
     weight bound and H * e = s (re-checked before returning, so a syndrome
     without a low-weight preimage can never be reported as decodable).
 
-    The error locator sigma is tested for splitting before any root search:
-    unless x^(2^m) == x (mod sigma) it has fewer than deg sigma distinct
-    roots in the field, so the syndrome fails after m squarings mod sigma,
-    without touching the support.  A locator that splits is evaluated over
-    the support only until deg sigma roots are found (`poly_roots`).
+    There is one path for every locator sigma: its roots on the support are
+    read off the bit-sliced H (`GoppaCode.root_mask`), and sigma decodes iff
+    it has deg sigma of them.  The root mask is then the error vector.
     """
     if s.n != code.n_minus_k:
         raise DimensionError("syndrome length mismatch")
@@ -157,10 +250,10 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector | None:
         tau = poly_sqrt_mod_g(t_poly + x, g, code._sqrt_x)
         u, v = partial_euclid(g, tau, t // 2)
         locator = u * u + x * (v * v)
-    roots = poly_roots(locator, code.support)
-    if roots is None or len(roots) != locator.degree:
+    mask = code.root_mask(locator)
+    if mask.bit_count() != locator.degree:
         return None
-    e = BitVector.from_indices(code.n, roots)
+    e = BitVector(code.n, mask)
     if e.weight > t or mat_vec(code.h, e) != s:
         return None
     return e

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,10 +11,11 @@ from cfslab.gf2m import (
     partial_euclid,
     poly_gcd,
     poly_mod_inv,
-    poly_roots,
     poly_sqrt_mod_g,
     sqrt_x_mod,
 )
+from cfslab.goppa import GoppaCode
+from cfslab.linalg import BitVector
 
 
 F16 = GF2m(4)
@@ -311,7 +313,8 @@ def test_poly_gcd_normalizes_monic():
     assert b % d == Poly.zero(F16)
 
 
-# --- poly_roots: split test plus early-exit scan, against brute force ------
+# --- roots over a point set, read off a Goppa code's bit-sliced rows -------
+# (`GoppaCode.root_mask`, the decoder's root search), against brute force
 
 
 def brute_roots(f, points):
@@ -325,16 +328,32 @@ def product_of_linears(field, roots):
     return f
 
 
+@functools.lru_cache(maxsize=None)
+def code_over(m, points, t):
+    # an irreducible g of degree >= 2 has no root anywhere in the field
+    field = GF2m(m)
+    return GoppaCode.build(field, irreducible_g(field, t, seed=60 + t), points)
+
+
+def mask_roots(f, points):
+    """Positions i with f(points[i]) == 0, read off the root masks of two
+    codes over the points: t = 5, and t = max(deg f, 2), where a degree-t f
+    goes through the x^t / g fold."""
+    found = []
+    for t in (5, max(f.degree, 2)):
+        code = code_over(f.field.m, tuple(points), t)
+        found.append(list(BitVector(code.n, code.root_mask(f)).support()))
+    assert found[0] == found[1]
+    return found[0]
+
+
 def check_against_brute_force(f, points):
-    """poly_roots agrees with Poly.eval over the points, and declines (None)
-    exactly when f lacks deg f distinct roots in the whole field."""
-    found = poly_roots(f, points)
-    splits = len(brute_roots(f, list(f.field.elements()))) == f.degree
-    if splits:
-        assert found == brute_roots(f, points)
-    else:
-        assert found is None
-        assert len(brute_roots(f, points)) != f.degree
+    """The root mask agrees with Poly.eval over the points, and holds deg f
+    roots only when f has deg f distinct roots in the whole field."""
+    found = mask_roots(f, points)
+    assert found == brute_roots(f, points)
+    if len(brute_roots(f, list(f.field.elements()))) != f.degree:
+        assert len(found) != f.degree
     return found
 
 
@@ -364,34 +383,31 @@ def test_poly_roots_split_locators_match_brute_force(m):
 def test_poly_roots_distinct_linear_factors():
     f = product_of_linears(F16, (0, 3, 9, 14))
     points = list(range(16))
-    assert poly_roots(f, points) == [0, 3, 9, 14]
-    assert poly_roots(f, points[::-1]) == [1, 6, 12, 15]  # positions, not values
+    assert mask_roots(f, points) == [0, 3, 9, 14]
+    assert mask_roots(f, points[::-1]) == [1, 6, 12, 15]  # positions, not values
 
 
 def test_poly_roots_repeated_root_does_not_split():
     f = product_of_linears(F16, (5, 5, 7))
-    assert len(brute_roots(f, range(16))) == 2
-    assert poly_roots(f, range(16)) is None
+    assert mask_roots(f, range(16)) == brute_roots(f, range(16)) == [5, 7]
 
 
 def test_poly_roots_irreducible_quadratic_does_not_split():
     f = irreducible_g(F16, 2, seed=11)
-    assert brute_roots(f, range(16)) == []
-    assert poly_roots(f, range(16)) is None
+    assert mask_roots(f, range(16)) == brute_roots(f, range(16)) == []
 
 
 def test_poly_roots_degree_zero_and_one():
-    assert poly_roots(Poly(F16, (9,)), range(16)) == []
-    assert poly_roots(Poly.zero(F16), range(16)) is None
+    assert mask_roots(Poly(F16, (9,)), range(16)) == []
+    assert mask_roots(Poly.zero(F16), range(16)) == list(range(16))
     for a in range(16):
         f = Poly(F16, (a, 1)).scale(7)
-        assert poly_roots(f, range(16)) == [a]
-        assert poly_roots(f, [b for b in range(16) if b != a]) == []
+        assert mask_roots(f, range(16)) == [a]
+        assert mask_roots(f, [b for b in range(16) if b != a]) == []
 
 
 def test_poly_roots_root_outside_points():
-    # splits in the field, so the points are scanned, but one root is missing
+    # splits in the field, but one root is not among the points
     f = product_of_linears(F16, (2, 4, 8))
     points = [a for a in range(16) if a != 4]
-    found = poly_roots(f, points)
-    assert found == brute_roots(f, points) == [2, 7]
+    assert mask_roots(f, points) == brute_roots(f, points) == [2, 7]

@@ -5,8 +5,15 @@ import random
 import pytest
 
 from cfslab.errors import BadParameters, CensusInfeasible, DimensionError
-from cfslab.gf2m import GF2m, Poly, partial_euclid, poly_mod_inv, poly_roots, poly_sqrt_mod_g
-from cfslab.goppa import GoppaCode, decodable_census, goppa_keygen, patterson_decode
+from cfslab.gf2m import GF2m, Poly, partial_euclid, poly_mod_inv, poly_sqrt_mod_g
+from cfslab.goppa import (
+    GoppaCode,
+    _is_irreducible,
+    _random_monic_poly,
+    decodable_census,
+    goppa_keygen,
+    patterson_decode,
+)
 from cfslab.linalg import BitVector, kernel_basis, mat_vec, rank
 
 
@@ -88,11 +95,15 @@ def test_decode_exhaustive_weight_up_to_t(code_t2, code_t3):
 def test_decode_random_round_trips(m, t):
     rng = random.Random(103 + m + t)
     code = goppa_keygen(m, t, rng)
+    # the same code under a Goppa polynomial that is not monic (a secret
+    # key file can hold one): a scalar multiple of g
+    scaled = GoppaCode.build(code.field, code.g.scale(rng.randrange(2, 1 << m)), code.support)
     n = code.n
     for _ in range(1000):
         wt = rng.randrange(0, t + 1)
         e = BitVector.from_indices(n, rng.sample(range(n), wt))
         assert patterson_decode(code, mat_vec(code.h, e)) == e
+        assert patterson_decode(scaled, mat_vec(scaled.h, e)) == e
 
 
 def test_decode_never_returns_overweight(code_t3):
@@ -163,13 +174,18 @@ def reference_locator(code, s):
     return u * u + x * (v * v)
 
 
+def reference_roots(f, support):
+    """Positions i with f(support[i]) == 0, by Poly.eval at every point."""
+    return [i for i, xi in enumerate(support) if f.eval(xi) == 0]
+
+
 def reference_decode(code, s):
     """patterson_decode with the root search done by Poly.eval at every
-    support point, as it was before the split test."""
+    support point."""
     if s.is_zero():
         return BitVector.zeros(code.n)
     locator = reference_locator(code, s)
-    roots = [i for i, xi in enumerate(code.support) if locator.eval(xi) == 0]
+    roots = reference_roots(locator, code.support)
     if len(roots) != locator.degree:
         return None
     e = BitVector.from_indices(code.n, roots)
@@ -197,16 +213,15 @@ def test_decode_matches_brute_force_root_scan(m, t, count):
         decoded += got is not None
         if not s.is_zero():
             locator = reference_locator(code, s)
-            found = poly_roots(locator, code.support)
-            if found is not None:
-                assert found == [i for i, xi in enumerate(code.support) if locator.eval(xi) == 0]
+            mask = BitVector(code.n, code.root_mask(locator))
+            assert list(mask.support()) == reference_roots(locator, code.support)
     assert decoded >= count // 2  # every weight-<=t syndrome decodes
 
 
 def test_decode_support_subset_root_outside_support():
     # A code whose support omits part of the field: a syndrome of an error
     # at an omitted element has a locator that splits in GF(2^m) but has a
-    # root outside the support, so the scan runs and comes up one root short.
+    # root outside the support, so the root mask comes up one root short.
     field = GF2m(5)
     g = goppa_keygen(5, 3, random.Random(1100)).g
     elements = list(field.elements())
@@ -222,10 +237,110 @@ def test_decode_support_subset_root_outside_support():
         s = full.syndrome_of(BitVector.from_indices(32, inside + outside))
         locator = reference_locator(part, s)
         assert locator.degree == len(inside) + 1
-        roots = poly_roots(locator, part.support)
-        assert roots is not None and sorted(roots) == sorted(inside)
+        assert reference_roots(locator, part.support) == sorted(inside)
+        assert BitVector(24, part.root_mask(locator)).support() == tuple(sorted(inside))
         assert patterson_decode(part, s) is None
         assert reference_decode(part, s) is None
     for _ in range(100):
         e = BitVector.from_indices(24, rng.sample(range(24), rng.randrange(0, 4)))
         assert patterson_decode(part, part.syndrome_of(e)) == e
+
+
+# --- H by transposes and the bit-sliced root mask, against per-bit code ----
+
+BUILD_PARAMS = [(2, 2), (3, 2), (4, 3), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 6), (11, 6), (12, 8)]
+
+
+def irreducible_code(m, t, seed, omit=0):
+    """A code over a shuffled field (zero element included) minus `omit`
+    support points, and the field elements left out."""
+    field = GF2m(m)
+    rng = random.Random(seed)
+    g = _random_monic_poly(field, t, rng)
+    while not _is_irreducible(g, field):
+        g = _random_monic_poly(field, t, rng)
+    support = list(field.elements())
+    rng.shuffle(support)
+    return GoppaCode.build(field, g, support[: field.order - omit]), support[field.order - omit :]
+
+
+def per_bit_parity_check(code):
+    """Rows x_i^j / g(x_i) scattered bit by bit with the checked field ops."""
+    field, m = code.field, code.m
+    rows = [0] * (code.t * m)
+    for i, x in enumerate(code.support):
+        e = field.inv(code.g.eval(x))
+        for j in range(code.t):
+            for b in range(m):
+                if (e >> b) & 1:
+                    rows[j * m + b] |= 1 << i
+            e = field.mul(e, x)
+    return rows
+
+
+@pytest.mark.parametrize("m,t", BUILD_PARAMS, ids=[f"m{m}t{t}" for m, t in BUILD_PARAMS])
+def test_build_matches_per_bit_reference(m, t):
+    for omit in (0, 3):  # the whole field, then a strict subset of it
+        code, _ = irreducible_code(m, t, 2000 + 31 * m + t, omit)
+        assert code.n == (1 << m) - omit
+        assert code.h.rows == m * t and code.h.cols == code.n
+        assert code.h._rows == per_bit_parity_check(code)
+
+
+def test_build_rejects_support_outside_field():
+    g = Poly(GF2m(4), (2, 1, 1))
+    for bad in (16, -1):
+        with pytest.raises(ValueError):
+            GoppaCode.build(GF2m(4), g, [1, bad])
+
+
+def test_build_empty_support():
+    code = GoppaCode.build(GF2m(4), Poly(GF2m(4), (2, 1, 1)), [])
+    assert (code.n, code.h.rows, code.h.cols) == (0, 8, 0)
+    assert code.root_mask(Poly.zero(GF2m(4))) == 0
+
+
+def random_poly_of_degree(field, d, rng):
+    if d < 0:
+        return Poly.zero(field)
+    return Poly(field, [rng.getrandbits(field.m) for _ in range(d)] + [rng.randrange(1, field.order)])
+
+
+@pytest.mark.parametrize("m,t", BUILD_PARAMS, ids=[f"m{m}t{t}" for m, t in BUILD_PARAMS])
+def test_root_mask_matches_eval_scan(m, t):
+    code, _ = irreducible_code(m, t, 3000 + 31 * m + t)
+    part, omitted = irreducible_code(m, t, 3000 + 31 * m + t, omit=2)
+    rng = random.Random(3100 + m)
+    scaled = GoppaCode.build(code.field, code.g.scale(rng.randrange(2, 1 << m)), code.support)
+    reps = 3 if m > 9 else 12
+    # every degree from the zero polynomial (-1) and a constant (0) up to t
+    for d in range(-1, t + 1):
+        for _ in range(reps):
+            f = random_poly_of_degree(code.field, d, rng)
+            for c in (code, part, scaled):
+                found = BitVector(c.n, c.root_mask(f)).support()
+                assert list(found) == reference_roots(f, c.support)
+    # locators with deg f distinct roots: all found over the whole field,
+    # one short when one root is an element the subset support omits
+    for d in range(1, t + 1):
+        for _ in range(reps):
+            roots = rng.sample(part.support, d - 1) + [rng.choice(omitted)]
+            f = Poly.one(code.field)
+            for a in roots:
+                f = f * Poly(code.field, (a, 1))
+            f = f.scale(rng.randrange(1, code.field.order))
+            assert code.root_mask(f).bit_count() == d
+            mask = part.root_mask(f)
+            assert mask.bit_count() == d - 1
+            assert list(BitVector(part.n, mask).support()) == reference_roots(f, part.support)
+    with pytest.raises(ValueError):
+        code.root_mask(random_poly_of_degree(code.field, t + 1, rng))
+
+
+def test_decode_at_m16_t9():
+    rng = random.Random(1600)
+    code = goppa_keygen(16, 9, rng)
+    assert (code.n, code.n_minus_k) == (65536, 144)
+    for _ in range(3):
+        e = BitVector.from_indices(code.n, rng.sample(range(code.n), 9))
+        assert patterson_decode(code, code.syndrome_of(e)) == e
