@@ -24,7 +24,6 @@ from .linalg import (
     BitVector,
     Permutation,
     inverse,
-    kernel_basis,
     mat_mul,
     mat_vec,
     rand_invertible,

@@ -100,8 +100,8 @@ def recover_permutation(h: BitMatrix, h_pub: BitMatrix) -> PermutationRecovery:
     """
     if h.rows != h_pub.rows or h.cols != h_pub.cols:
         raise NoPermutationError("shape mismatch")
-    cols = h.columns_as_ints()
-    cols_pub = h_pub.columns_as_ints()
+    cols = h.columns()
+    cols_pub = h_pub.columns()
     order = sorted(range(h.cols), key=cols.__getitem__)
     order_pub = sorted(range(h.cols), key=cols_pub.__getitem__)
     mapping = [0] * h.cols

@@ -49,7 +49,7 @@ class HashConfig:
         if iv.n != self.s:
             raise BadParameters("IV length must equal the state length s")
         self.iv = iv
-        self._columns = h_matrix.columns_as_ints()
+        self._columns = h_matrix.columns()
         # big-endian chunk read = bit-reversal of the packed little-endian value
         c = self.chunk_bits
         self._rev = [int(format(v, f"0{c}b")[::-1], 2) for v in range(l)]

@@ -105,16 +105,6 @@ class GF2m:
             raise InversionOfZero("zero has no multiplicative inverse")
         return self._exp[self.order - 1 - self._log[a]]
 
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
-
-    def sqrt(self, a: int) -> int:
-        self._check(a)
-        return self._sqrt[a]
-
     def elements(self) -> range:
         return range(self.order)
 

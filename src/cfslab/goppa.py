@@ -3,9 +3,11 @@ an exhaustive decodability census.
 
 The parity-check matrix is built over GF(2^m) with rows x_i^j / g(x_i)
 for j = 0..t-1 and then expanded bitwise to GF(2) (bit b of a field
-element lands in binary row j*m + b).  The support is the whole field in
-a shuffled order, so n = 2^m and n - k = m*t once the expansion has full
-rank; rank-deficient draws are thrown away and regenerated.
+element lands in binary row j*m + b): each j-block is one
+`linalg.transpose_bits` of its n field values into m rows.  The support
+is the whole field in a shuffled order, so n = 2^m and n - k = m*t once
+the expansion has full rank; rank-deficient draws are thrown away and
+regenerated.
 
 Those binary rows are the field values bit-sliced over the support, so
 the decoder's root search reads them back: alpha^s times the m rows of
@@ -32,24 +34,8 @@ from .gf2m import (
     poly_sqrt_mod_g,
     sqrt_x_mod,
 )
-from .linalg import BitMatrix, BitVector, mat_vec, rank
+from .linalg import BitMatrix, BitVector, mat_vec, rank, transpose_bits
 from .metering import tick_decode
-
-
-# _PLANE_CHARS[b] maps a byte to the ASCII digit of its bit b, so one
-# `bytes.translate` turns a byte per support position into a binary numeral
-_PLANE_CHARS = [bytes(0x30 | (v >> b) & 1 for v in range(256)) for b in range(8)]
-
-
-def _bit_planes(values: list[int], m: int) -> list[int]:
-    """Transpose m-bit field elements into m packed rows: bit i of row b is
-    bit b of values[i]."""
-    if not values:
-        return [0] * m  # int(b"", 2) would raise
-    rev = values[::-1]  # int(..., 2) reads the most significant digit first
-    low = bytes([v & 0xFF for v in rev])
-    high = bytes([v >> 8 for v in rev]) if m > 8 else b""
-    return [int((low if b < 8 else high).translate(_PLANE_CHARS[b & 7]), 2) for b in range(m)]
 
 
 class GoppaCode:
@@ -119,7 +105,7 @@ class GoppaCode:
             values = [exp[(lg + j * l) % q1] for lg, l in zip(lginv, lx)]
             if zero is not None and j:
                 values[zero] = 0
-            rows += _bit_planes(values, m)
+            rows += transpose_bits(values, m)
         return cls(field, g, support, BitMatrix(t * m, len(support), rows))
 
     def root_mask(self, sigma: Poly) -> int:

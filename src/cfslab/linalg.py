@@ -8,6 +8,10 @@ big-endian and byte-aligned regardless of length.  Coordinate i is bit
 7 - (i & 7) of byte i >> 3, so once each byte's bits are reversed
 (`_BITREV`, one `bytes.translate`) the convention is exactly Python's
 little-endian int codec: `int.from_bytes`/`int.to_bytes` do the rest.
+The same trick transposes: `transpose_bits` lays the values out as bytes
+and reads each output row as one strided slice turned into a binary
+numeral, so columns, column permutations and the Goppa build never loop
+per bit.
 
 Everything is immutable after construction; operations return new values.
 """
@@ -20,6 +24,22 @@ from .metering import tick_matvec
 
 # _BITREV[b] is byte b with its eight bits in reverse order
 _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+# _BIT_DIGITS[b] maps a byte to the ASCII digit of its bit b, so one
+# `bytes.translate` turns a byte per value into a binary numeral
+_BIT_DIGITS = [bytes(0x30 | (v >> b) & 1 for v in range(256)) for b in range(8)]
+
+
+def transpose_bits(values: list[int], width: int) -> list[int]:
+    """Transpose non-negative ints below 2^width into width packed rows:
+    bit i of row b is bit b of values[i]."""
+    if not values:
+        return [0] * width  # int(b"", 2) would raise
+    nb = (width + 7) // 8
+    # int(..., 2) reads the most significant digit first: values[0] goes last
+    data = b"".join([v.to_bytes(nb, "little") for v in reversed(values)])
+    return [int(data[b >> 3 :: nb].translate(_BIT_DIGITS[b & 7]), 2) for b in range(width)]
 
 
 def _parity(x: int) -> int:
@@ -178,26 +198,16 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self._rows[i])
 
-    def column_int(self, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        acc = 0
-        for i, r in enumerate(self._rows):
-            acc |= ((r >> j) & 1) << i
-        return acc
-
-    def columns_as_ints(self) -> list[int]:
-        return [self.column_int(j) for j in range(self.cols)]
-
-    def column(self, j: int) -> BitVector:
-        return BitVector(self.rows, self.column_int(j))
+    def columns(self) -> list[int]:
+        """Every column packed as an int: bit i of entry j is row i, column j."""
+        return transpose_bits(self._rows, self.cols)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return (self._rows[i] >> j) & 1
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, self.columns_as_ints())
+        return BitMatrix(self.cols, self.rows, self.columns())
 
     def __eq__(self, other) -> bool:
         return (
@@ -233,20 +243,22 @@ class BitMatrix:
 
 
 class Permutation:
-    """Permutation of n coordinates, stored as an index array.
+    """Permutation of n coordinates, stored as an index array and its inverse.
 
     mapping[j] is the source coordinate feeding target coordinate j under
     right multiplication: (v * P)[j] = v[mapping[j]], and column j of H * P
     is column mapping[j] of H.
     """
 
-    __slots__ = ("mapping",)
+    __slots__ = ("mapping", "_inverse")
 
     def __init__(self, mapping):
         mapping = tuple(mapping)
         if sorted(mapping) != list(range(len(mapping))):
             raise ValueError("mapping is not a bijection on 0..n-1")
         object.__setattr__(self, "mapping", mapping)
+        # _inverse[src] is the target coordinate that source src feeds
+        object.__setattr__(self, "_inverse", sorted(range(len(mapping)), key=mapping.__getitem__))
 
     def __setattr__(self, *_):
         raise AttributeError("Permutation is immutable")
@@ -266,31 +278,31 @@ class Permutation:
         return len(self.mapping)
 
     def apply(self, v: BitVector) -> BitVector:
-        """Right multiplication v * P."""
+        """Right multiplication v * P: each set bit src moves to _inverse[src]."""
         if v.n != self.n:
             raise DimensionError("length mismatch in permutation")
+        inv = self._inverse
         bits = v.to_int()
         acc = 0
-        for j, src in enumerate(self.mapping):
-            acc |= ((bits >> src) & 1) << j
+        while bits:
+            low = bits & -bits
+            acc |= 1 << inv[low.bit_length() - 1]
+            bits ^= low
         return BitVector(self.n, acc)
 
     def permute_columns(self, mat: BitMatrix) -> BitMatrix:
         """H * P: column j of the result is column mapping[j] of H."""
         if mat.cols != self.n:
             raise DimensionError("column count mismatch in permutation")
-        rows = [self.apply(mat.row(i)).to_int() for i in range(mat.rows)]
-        return BitMatrix(mat.rows, mat.cols, rows)
+        cols = mat.columns()
+        picked = [cols[src] for src in self.mapping]
+        return BitMatrix(mat.rows, mat.cols, transpose_bits(picked, mat.rows))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, src in enumerate(self.mapping):
-            inv[src] = j
-        return Permutation(inv)
+        return Permutation(self._inverse)
 
     def as_matrix(self) -> BitMatrix:
-        inv = self.inverse().mapping
-        return BitMatrix(self.n, self.n, [1 << inv[i] for i in range(self.n)])
+        return BitMatrix(self.n, self.n, [1 << j for j in self._inverse])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and other.mapping == self.mapping

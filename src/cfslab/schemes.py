@@ -82,6 +82,10 @@ class CfsPublicKey:
     t: int
     hash_id: str
 
+    def __post_init__(self):
+        if self.hash_id not in GENERIC_HASHES:
+            raise BadParameters(f"unknown generic hash id {self.hash_id!r}")
+
 
 @dataclass(frozen=True)
 class CfsSecretKey:
@@ -120,11 +124,8 @@ def cfs_keys_from_parts(
     perm: Permutation,
     hash_id: str = "sha256",
 ) -> tuple[CfsSecretKey, CfsPublicKey]:
-    if hash_id not in GENERIC_HASHES:
-        raise BadParameters(f"unknown generic hash id {hash_id!r}")
-    h_pub = perm.permute_columns(mat_mul(scrambler, code.h))
+    pk = CfsPublicKey(perm.permute_columns(mat_mul(scrambler, code.h)), code.t, hash_id)
     sk = CfsSecretKey(code, scrambler, scrambler_inv, perm, hash_id)
-    pk = CfsPublicKey(h_pub, code.t, hash_id)
     return sk, pk
 
 
@@ -183,6 +184,10 @@ class McfscPublicKey:
     w: int
     cfg: HashConfig
 
+    def __post_init__(self):
+        if not 1 <= self.w < self.t:
+            raise BadParameters(f"block count w={self.w} must be less than t={self.t}")
+
     @property
     def r(self) -> int:
         return self.h_pub.rows
@@ -201,12 +206,10 @@ class McfscSecretKey:
 
 
 def mcfsc_keys_from_parts(code: GoppaCode, perm: Permutation, w: int) -> tuple[McfscSecretKey, McfscPublicKey]:
-    if not 1 <= w < code.t:
-        raise BadParameters(f"block count w={w} must be less than t={code.t}")
     h_pub = perm.permute_columns(code.h)
-    cfg = HashConfig(h_pub, w)  # validates divisibility and power-of-two block size
-    sk = McfscSecretKey(code, perm, w, cfg)
-    pk = McfscPublicKey(h_pub, code.t, w, cfg)
+    # HashConfig validates divisibility and the power-of-two block size
+    pk = McfscPublicKey(h_pub, code.t, w, HashConfig(h_pub, w))
+    sk = McfscSecretKey(code, perm, w, pk.cfg)
     return sk, pk
 
 
@@ -253,6 +256,10 @@ class TildePublicKey:
     encoder_id: str
     cfg: HashConfig
 
+    def __post_init__(self):
+        tilde_encoder(self)  # resolve both ids eagerly
+        tilde_inner_hash(self.hash_id, self.cfg)
+
 
 @dataclass(frozen=True)
 class TildeSecretKey:
@@ -294,11 +301,8 @@ def tilde_keys_from_parts(
     hash_id: str = "md-stopped",
 ) -> tuple[TildeSecretKey, TildePublicKey]:
     h_pub = perm.permute_columns(mat_mul(scrambler, code.h))
-    cfg = HashConfig(h_pub, w)
-    make_encoder(encoder_id, cfg, code.t)  # validate eagerly
-    tilde_inner_hash(hash_id, cfg)
-    sk = TildeSecretKey(code, scrambler, scrambler_inv, perm, w, hash_id, encoder_id, cfg)
-    pk = TildePublicKey(h_pub, code.t, w, hash_id, encoder_id, cfg)
+    pk = TildePublicKey(h_pub, code.t, w, hash_id, encoder_id, HashConfig(h_pub, w))
+    sk = TildeSecretKey(code, scrambler, scrambler_inv, perm, w, hash_id, encoder_id, pk.cfg)
     return sk, pk
 
 

@@ -95,7 +95,8 @@ def test_compress_equals_syndrome_of_regular_word(cfg16):
 
 
 def test_compress_zero_state_is_block_leader_xor(cfg16):
-    expected = cfg16.h.column(0) ^ cfg16.h.column(8)
+    cols = cfg16.h.columns()
+    expected = BitVector(cfg16.r, cols[0] ^ cols[8])
     assert compress(BitVector.zeros(6), cfg16) == expected
 
 

@@ -179,6 +179,11 @@ MALFORMED = [
     ("pk", "mcfsc", _replace(b"\nw 2", b"\nw 0")),
     ("sk", "mcfsc", _replace(b"\nw 2", b"\nw 3")),
     ("sk", "tilde", _replace(b"encoder regular", b"encoder rot13")),
+    # public keys run the same header checks as secret keys
+    ("pk", "cfs", _replace(b"hash_id sha256", b"hash_id md5")),
+    ("pk", "tilde", _replace(b"hash_id md-stopped", b"hash_id md5")),
+    ("pk", "tilde", _replace(b"encoder regular", b"encoder rot13")),
+    ("pk", "mcfsc", _replace(b"\nw 2", b"\nw 4")),
     ("sig", "cfs", _replace(b"\nbits 16", b"\nbits sixteen")),
     ("sig", "cfs", _replace(b"\nbits 16", b"\nbits 17")),
     ("sig", "cfs", _replace(b"\ncounter ", b"\ncounter x")),

@@ -13,6 +13,7 @@ from cfslab.linalg import (
     mat_vec,
     rand_invertible,
     rank,
+    transpose_bits,
 )
 
 
@@ -76,8 +77,9 @@ def test_permutation_matrix_column_action():
     p = Permutation.random(10, rng)
     hp = mat_mul(h, p.as_matrix())
     assert hp == p.permute_columns(h)
+    cols, hp_cols = h.columns(), hp.columns()
     for j in range(10):
-        assert hp.column_int(j) == h.column_int(p.mapping[j])
+        assert hp_cols[j] == cols[p.mapping[j]]
 
 
 def test_permutation_vector_action_matches_matrix():
@@ -165,3 +167,60 @@ def test_vector_basics():
     assert list(v) == [1, 0, 1, 1, 0]
     with pytest.raises(DimensionError):
         v ^ BitVector.zeros(6)
+
+
+# --- one transpose, against per-bit code -------------------------------------
+
+
+def transpose_per_bit(values, width):
+    """Reference for `transpose_bits`: one bit at a time."""
+    rows = []
+    for b in range(width):
+        acc = 0
+        for i, v in enumerate(values):
+            acc |= ((v >> b) & 1) << i
+        rows.append(acc)
+    return rows
+
+
+def apply_per_bit(p, v):
+    """Reference for v * P: (v * P)[j] = v[mapping[j]]."""
+    bits = v.to_int()
+    acc = 0
+    for j, src in enumerate(p.mapping):
+        acc |= ((bits >> src) & 1) << j
+    return BitVector(p.n, acc)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 60, 144])
+@pytest.mark.parametrize("count", [0, 1, 33, 1024])
+def test_transpose_bits_matches_per_bit(width, count):
+    rng = random.Random(width * 10007 + count)
+    values = [rng.getrandbits(width) for _ in range(count)]
+    if count:
+        values[0] = (1 << width) - 1  # every bit of the top row set
+    rows = transpose_bits(values, width)
+    assert rows == transpose_per_bit(values, width)
+    assert transpose_bits(rows, count) == values  # transposing twice
+    m = BitMatrix(count, width, values)
+    assert m.columns() == rows
+    assert m.transpose() == BitMatrix(width, count, rows)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 9), (1, 1), (3, 17), (10, 8), (40, 100), (7, 0)])
+def test_permute_columns_matches_matrix_product(rows, cols):
+    rng = random.Random(rows * 1009 + cols)
+    for _ in range(5):
+        h = random_matrix(rows, cols, rng)
+        p = Permutation.random(cols, rng)
+        assert p.permute_columns(h) == mat_mul(h, p.as_matrix())
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 1024])
+def test_apply_matches_per_bit(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        p = Permutation.random(n, rng)
+        sparse = BitVector.from_indices(n, rng.sample(range(n), min(n, 4)))
+        for v in (BitVector.zeros(n), sparse, random_vector(n, rng), BitVector(n, (1 << n) - 1)):
+            assert p.apply(v) == apply_per_bit(p, v)
