@@ -45,13 +45,11 @@ from .codehash import (
 from .metering import OperationCount, count_operations
 from .schemes import (
     CfsPublicKey,
-    CfsSecretKey,
     CfsSignature,
     McfscPublicKey,
-    McfscSecretKey,
     McfsSignature,
+    SecretKey,
     TildePublicKey,
-    TildeSecretKey,
     TildeSignature,
     cfs_keygen,
     cfs_sign,

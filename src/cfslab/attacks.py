@@ -29,8 +29,6 @@ from .schemes import (
     TildeSignature,
     _counter_bytes,
     draw_nonce,
-    tilde_encoder,
-    tilde_inner_hash,
 )
 
 
@@ -67,10 +65,9 @@ def forge_tilde(msg: bytes, pk: TildePublicKey) -> Forgery:
     weight gate.  The honest signer pays a decode to arrive at the same
     vector; the attacker just writes it down.
     """
-    inner = tilde_inner_hash(pk.hash_id, pk.cfg)
-    encoder = tilde_encoder(pk)
+    encoder = pk.encoder
     with count_operations() as cost:
-        word = encoder(inner(msg))
+        word = encoder(pk.inner_hash(msg))
         if word.weight > encoder.max_weight:
             raise WeightBoundViolation(
                 f"encoder {encoder.name!r} produced weight {word.weight}"

@@ -82,10 +82,11 @@ class GF2m:
             exp[i] = exp[i - (self.order - 1)]
         self._exp = exp
         self._log = log
-        # sqrt table: squaring is a bijection in characteristic 2
+        # sqrt table: squaring is a bijection in characteristic 2, and
+        # (alpha^k)^2 = alpha^(2k)
         sq = [0] * self.order
-        for a in range(self.order):
-            sq[self.mul(a, a)] = a
+        for k in range(self.order - 1):
+            sq[exp[2 * k]] = exp[k]
         self._sqrt = sq
 
     def _check(self, a: int) -> None:
@@ -127,17 +128,11 @@ class Poly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: GF2m, coeffs=()):
+    def __new__(cls, field: GF2m, coeffs=()):
         coeffs = list(coeffs)
         for c in coeffs:
             field._check(c)
-        self._fill(field, coeffs)
-
-    def _fill(self, field: GF2m, coeffs: list) -> None:
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return _poly(field, coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -241,10 +236,19 @@ class Poly:
         return f"Poly(GF2m({self.field.m}), {list(self.coeffs)})"
 
 
+_set_field = Poly.field.__set__
+_set_coeffs = Poly.coeffs.__set__
+
+
 def _poly(field: GF2m, coeffs: list) -> Poly:
-    """A Poly from a list of field elements, taken over and not checked."""
-    p = Poly.__new__(Poly)
-    p._fill(field, coeffs)
+    """A Poly from a list of field elements, taken over and not checked;
+    trailing zeros are stripped.  The slots are set through their member
+    descriptors, past the immutability guard."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    p = object.__new__(Poly)
+    _set_field(p, field)
+    _set_coeffs(p, tuple(coeffs))
     return p
 
 

@@ -181,6 +181,17 @@ def _is_irreducible(g: Poly, field: GF2m) -> bool:
     return True
 
 
+def check_parameters(m: int, t: int) -> None:
+    """The (m, t) a full-field Goppa code supports: 2 <= m <= 16, t >= 2
+    and m*t < 2^m; BadParameters otherwise."""
+    if t < 2:
+        raise BadParameters("correction capability t must be at least 2")
+    if m not in range(2, 17):
+        raise BadParameters("extension degree m must be in 2..16")
+    if m * t >= (1 << m):
+        raise BadParameters(f"m*t = {m * t} leaves no code dimension at n = {1 << m}")
+
+
 def goppa_keygen(m: int, t: int, rng) -> GoppaCode:
     """Random irreducible Goppa code with full-field support.
 
@@ -188,12 +199,7 @@ def goppa_keygen(m: int, t: int, rng) -> GoppaCode:
     the support, and regenerates whenever the GF(2) expansion of the
     parity-check matrix is rank deficient.
     """
-    if t < 2:
-        raise BadParameters("correction capability t must be at least 2")
-    if m not in range(2, 17):
-        raise BadParameters("extension degree m must be in 2..16")
-    if m * t >= (1 << m):
-        raise BadParameters(f"m*t = {m * t} leaves no code dimension at n = {1 << m}")
+    check_parameters(m, t)
     field = GF2m(m)
     while True:
         g = _random_monic_poly(field, t, rng)

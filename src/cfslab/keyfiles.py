@@ -10,8 +10,9 @@ check matrix and decoder tables on load; derived data (inverses, the
 public matrix of mcfsc) is recomputed rather than stored.  Which header
 fields a key file carries, whether it stores a scrambler and which counter
 field a signature has are read from the scheme's record in
-`schemes.SCHEMES`.  Anything a loader cannot parse, and a Goppa polynomial
-that is not irreducible, raises KeyFormatError.
+`schemes.SCHEMES`, and both loaders rebuild keys through that record.
+Anything a loader cannot parse, an (m, t) that key generation refuses and a
+Goppa polynomial that is not irreducible raise KeyFormatError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from contextlib import contextmanager
 
 from .errors import CfsLabError, KeyFormatError
 from .gf2m import GF2m, Poly
-from .goppa import GoppaCode, _is_irreducible
+from .goppa import GoppaCode, _is_irreducible, check_parameters
 from .linalg import BitMatrix, BitVector, Permutation, inverse
 from .schemes import SCHEMES, Scheme
 
@@ -102,6 +103,7 @@ class _Reader:
         if found != kind:
             raise KeyFormatError(f"expected a {kind} key file, found kind {found!r}")
         m, t = self.value("m", int), self.value("t", int)
+        check_parameters(m, t)
         fields = {f: self.value(_LABELS.get(f, f), _PARSERS.get(f, str)) for f in scheme.header}
         return name, scheme, m, t, fields
 
@@ -123,7 +125,7 @@ def _write(path, lines: list[str]) -> None:
 
 def save_secret_key(sk, scheme: str, path: str) -> None:
     code = sk.code
-    lines = _key_lines(sk, scheme, "secret", code.m, code.t)
+    lines = _key_lines(sk.pk, scheme, "secret", code.m, code.t)
     lines += [f"g {_fmt_field_elems(code.g.coeffs)}", f"support {_fmt_field_elems(code.support)}"]
     if SCHEMES[scheme].scrambled:
         lines += _matrix_lines("S", sk.scrambler)
@@ -169,7 +171,7 @@ def load_public_key(path: str):
             raise KeyFormatError("stored m disagrees with the matrix width")
         if h.rows != m * t:
             raise KeyFormatError("stored t disagrees with the matrix height")
-        return name, scheme.public_key(h, t, **fields)
+        return name, scheme.public_key_type(h, t, **fields)
 
 
 def save_signature(sig, scheme: str, path: str) -> None:

@@ -4,7 +4,7 @@ encoder-based variant (tilde).
 
 The schemes differ only in how the digest that H_pub * e must match is
 formed.  `SCHEMES` maps each name to a `Scheme` record holding that digest,
-the signer, the key constructors and what the scheme's files carry; every
+the signer, the public-key type and what the scheme's files carry; every
 verifier is one shared gate plus digest == H_pub * e, from public data only.
 Counters and nonces are bound into the hash as big-endian fields of
 `counter_width(n-k)` bytes so that message/counter splits are unambiguous.
@@ -12,7 +12,7 @@ Counters and nonces are bound into the hash as big-endian fields of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .codehash import (
@@ -71,6 +71,23 @@ def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") 
     return fn(msg + _counter_bytes(counter, nbits), nbits)
 
 
+@dataclass(frozen=True)
+class SecretKey:
+    """The Goppa trapdoor every scheme shares: the code, the permutation P
+    and, if the scheme scrambles, S and its inverse.  The scheme's header
+    fields and hash configuration are read off the public key `pk`."""
+
+    code: GoppaCode
+    perm: Permutation
+    pk: CfsPublicKey | McfscPublicKey | TildePublicKey
+    scrambler: BitMatrix | None = None
+    scrambler_inv: BitMatrix | None = None
+
+
+def _decode_scrambled(sk: SecretKey, digest: BitVector) -> BitVector | None:
+    return patterson_decode(sk.code, mat_vec(sk.scrambler_inv, digest))
+
+
 # --------------------------------------------------------------------------
 # cfs / mcfs: scrambled keys, generic hash, retry loop
 # --------------------------------------------------------------------------
@@ -80,24 +97,11 @@ def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") 
 class CfsPublicKey:
     h_pub: BitMatrix
     t: int
-    hash_id: str
+    hash_id: str = "sha256"
 
     def __post_init__(self):
         if self.hash_id not in GENERIC_HASHES:
             raise BadParameters(f"unknown generic hash id {self.hash_id!r}")
-
-
-@dataclass(frozen=True)
-class CfsSecretKey:
-    code: GoppaCode
-    scrambler: BitMatrix
-    scrambler_inv: BitMatrix
-    perm: Permutation
-    hash_id: str
-
-    @property
-    def t(self) -> int:
-        return self.code.t
 
 
 @dataclass(frozen=True)
@@ -123,34 +127,25 @@ def cfs_keys_from_parts(
     scrambler_inv: BitMatrix,
     perm: Permutation,
     hash_id: str = "sha256",
-) -> tuple[CfsSecretKey, CfsPublicKey]:
-    pk = CfsPublicKey(perm.permute_columns(mat_mul(scrambler, code.h)), code.t, hash_id)
-    sk = CfsSecretKey(code, scrambler, scrambler_inv, perm, hash_id)
-    return sk, pk
+) -> tuple[SecretKey, CfsPublicKey]:
+    return CFS.from_parts(code, perm, scrambler, scrambler_inv, hash_id=hash_id)
 
 
-def cfs_keygen(m: int, t: int, rng, hash_id: str = "sha256") -> tuple[CfsSecretKey, CfsPublicKey]:
+def cfs_keygen(m: int, t: int, rng, hash_id: str = "sha256") -> tuple[SecretKey, CfsPublicKey]:
     """Goppa code, random scrambler S and permutation P; public H = S*H*P."""
-    code = goppa_keygen(m, t, rng)
-    s, s_inv = rand_invertible(code.n_minus_k, rng)
-    perm = Permutation.random(code.n, rng)
-    return cfs_keys_from_parts(code, s, s_inv, perm, hash_id)
+    return CFS.keygen(m, t, rng, hash_id=hash_id)
 
 
-def _decode_scrambled(sk: CfsSecretKey, digest: BitVector) -> BitVector | None:
-    return patterson_decode(sk.code, mat_vec(sk.scrambler_inv, digest))
-
-
-def _sign_retry(msg: bytes, sk: CfsSecretKey, counters, signature, max_attempts: int):
+def _sign_retry(msg: bytes, sk: SecretKey, counters, signature, max_attempts: int):
     r = sk.code.n_minus_k
     for counter in counters:
-        e = _decode_scrambled(sk, message_hash(msg, counter, r, sk.hash_id))
+        e = _decode_scrambled(sk, message_hash(msg, counter, r, sk.pk.hash_id))
         if e is not None:
             return signature(counter, sk.perm.apply(e))
     raise AttemptLimitExceeded(f"no decodable digest in {max_attempts} attempts")
 
 
-def cfs_sign(msg: bytes, sk: CfsSecretKey, max_attempts: int = DEFAULT_ATTEMPT_CAP) -> CfsSignature:
+def cfs_sign(msg: bytes, sk: SecretKey, max_attempts: int = DEFAULT_ATTEMPT_CAP) -> CfsSignature:
     """Increment a counter from 0 until the digest decodes; deterministic."""
     return _sign_retry(msg, sk, range(max_attempts), CfsSignature, max_attempts)
 
@@ -160,7 +155,7 @@ def cfs_verify(msg: bytes, sig: CfsSignature, pk: CfsPublicKey) -> bool:
 
 
 def mcfs_sign(
-    msg: bytes, sk: CfsSecretKey, rng, max_attempts: int = DEFAULT_ATTEMPT_CAP
+    msg: bytes, sk: SecretKey, rng, max_attempts: int = DEFAULT_ATTEMPT_CAP
 ) -> McfsSignature:
     """Like cfs_sign but with a fresh random nonce per attempt."""
     r = sk.code.n_minus_k
@@ -182,41 +177,25 @@ class McfscPublicKey:
     h_pub: BitMatrix
     t: int
     w: int
-    cfg: HashConfig
+    cfg: HashConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.w < self.t:
             raise BadParameters(f"block count w={self.w} must be less than t={self.t}")
+        # HashConfig validates divisibility and the power-of-two block size
+        object.__setattr__(self, "cfg", HashConfig(self.h_pub, self.w))
 
     @property
     def r(self) -> int:
         return self.h_pub.rows
 
 
-@dataclass(frozen=True)
-class McfscSecretKey:
-    code: GoppaCode
-    perm: Permutation
-    w: int
-    cfg: HashConfig  # built on the public matrix; signing hashes with it
-
-    @property
-    def t(self) -> int:
-        return self.code.t
+def mcfsc_keys_from_parts(code: GoppaCode, perm: Permutation, w: int) -> tuple[SecretKey, McfscPublicKey]:
+    return MCFSC.from_parts(code, perm, w=w)
 
 
-def mcfsc_keys_from_parts(code: GoppaCode, perm: Permutation, w: int) -> tuple[McfscSecretKey, McfscPublicKey]:
-    h_pub = perm.permute_columns(code.h)
-    # HashConfig validates divisibility and the power-of-two block size
-    pk = McfscPublicKey(h_pub, code.t, w, HashConfig(h_pub, w))
-    sk = McfscSecretKey(code, perm, w, pk.cfg)
-    return sk, pk
-
-
-def mcfsc_keygen(m: int, t: int, w: int, rng) -> tuple[McfscSecretKey, McfscPublicKey]:
-    code = goppa_keygen(m, t, rng)
-    perm = Permutation.random(code.n, rng)
-    return mcfsc_keys_from_parts(code, perm, w)
+def mcfsc_keygen(m: int, t: int, w: int, rng) -> tuple[SecretKey, McfscPublicKey]:
+    return MCFSC.keygen(m, t, rng, w=w)
 
 
 def chained_digest(msg: bytes, nonce: int, cfg: HashConfig) -> BitVector:
@@ -225,11 +204,11 @@ def chained_digest(msg: bytes, nonce: int, cfg: HashConfig) -> BitVector:
     return md_hash(inner.to_bytes() + _counter_bytes(nonce, cfg.r), cfg)
 
 
-def mcfsc_sign(msg: bytes, sk: McfscSecretKey, rng) -> McfsSignature:
+def mcfsc_sign(msg: bytes, sk: SecretKey, rng) -> McfsSignature:
     """Single decode, no retry: the digest is a weight-w syndrome by
     construction, and w < t keeps it inside the decoder's reach."""
     nonce = draw_nonce(rng, sk.code.n_minus_k)
-    digest = chained_digest(msg, nonce, sk.cfg)
+    digest = chained_digest(msg, nonce, sk.pk.cfg)
     # H_pub = H*P, so the digest is, bit for bit, also a syndrome under H
     # (of the un-permuted error); it can be decoded directly.
     e = patterson_decode(sk.code, digest)
@@ -249,46 +228,30 @@ def mcfsc_verify(msg: bytes, sig: McfsSignature, pk: McfscPublicKey) -> bool:
 
 @dataclass(frozen=True)
 class TildePublicKey:
+    """Besides cfg, the key resolves its encoder and its inner hash once:
+    the stopped code-based chain, or a generic digest truncated to the
+    state length."""
+
     h_pub: BitMatrix
     t: int
     w: int
-    hash_id: str
-    encoder_id: str
-    cfg: HashConfig
+    hash_id: str = "md-stopped"
+    encoder_id: str = "regular"
+    cfg: HashConfig = field(init=False, repr=False, compare=False)
+    encoder: BoundedWeightEncoder = field(init=False, repr=False, compare=False)
+    inner_hash: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tilde_encoder(self)  # resolve both ids eagerly
-        tilde_inner_hash(self.hash_id, self.cfg)
-
-
-@dataclass(frozen=True)
-class TildeSecretKey:
-    code: GoppaCode
-    scrambler: BitMatrix
-    scrambler_inv: BitMatrix
-    perm: Permutation
-    w: int
-    hash_id: str
-    encoder_id: str
-    cfg: HashConfig
-
-    @property
-    def t(self) -> int:
-        return self.code.t
-
-
-def tilde_inner_hash(hash_id: str, cfg: HashConfig):
-    """Resolve the inner hash: the stopped code-based chain, or a generic
-    digest truncated to the state length."""
-    if hash_id == "md-stopped":
-        return lambda msg: md_final_state(msg, cfg)
-    if hash_id == "sha256":
-        return lambda msg: digest_bits(msg, cfg.s)
-    raise BadParameters(f"unknown hash id {hash_id!r}")
-
-
-def tilde_encoder(pk_or_sk) -> BoundedWeightEncoder:
-    return make_encoder(pk_or_sk.encoder_id, pk_or_sk.cfg, pk_or_sk.t)
+        cfg = HashConfig(self.h_pub, self.w)
+        if self.hash_id == "md-stopped":
+            inner = lambda msg: md_final_state(msg, cfg)
+        elif self.hash_id == "sha256":
+            inner = lambda msg: digest_bits(msg, cfg.s)
+        else:
+            raise BadParameters(f"unknown hash id {self.hash_id!r}")
+        object.__setattr__(self, "cfg", cfg)
+        object.__setattr__(self, "encoder", make_encoder(self.encoder_id, cfg, self.t))
+        object.__setattr__(self, "inner_hash", inner)
 
 
 def tilde_keys_from_parts(
@@ -299,11 +262,9 @@ def tilde_keys_from_parts(
     w: int,
     encoder_id: str = "regular",
     hash_id: str = "md-stopped",
-) -> tuple[TildeSecretKey, TildePublicKey]:
-    h_pub = perm.permute_columns(mat_mul(scrambler, code.h))
-    pk = TildePublicKey(h_pub, code.t, w, hash_id, encoder_id, HashConfig(h_pub, w))
-    sk = TildeSecretKey(code, scrambler, scrambler_inv, perm, w, hash_id, encoder_id, pk.cfg)
-    return sk, pk
+) -> tuple[SecretKey, TildePublicKey]:
+    fields = {"w": w, "encoder_id": encoder_id, "hash_id": hash_id}
+    return TILDE.from_parts(code, perm, scrambler, scrambler_inv, **fields)
 
 
 def tilde_keygen(
@@ -313,24 +274,19 @@ def tilde_keygen(
     rng,
     encoder_id: str = "regular",
     hash_id: str = "md-stopped",
-) -> tuple[TildeSecretKey, TildePublicKey]:
-    code = goppa_keygen(m, t, rng)
-    s, s_inv = rand_invertible(code.n_minus_k, rng)
-    perm = Permutation.random(code.n, rng)
-    return tilde_keys_from_parts(code, s, s_inv, perm, w, encoder_id, hash_id)
+) -> tuple[SecretKey, TildePublicKey]:
+    return TILDE.keygen(m, t, rng, w=w, encoder_id=encoder_id, hash_id=hash_id)
 
 
-def tilde_digest(msg: bytes, key) -> BitVector:
+def tilde_digest(msg: bytes, pk: TildePublicKey) -> BitVector:
     """The scheme's message digest: H_pub * encoder(inner_hash(msg))."""
-    inner = tilde_inner_hash(key.hash_id, key.cfg)
-    return syndrome_hash(msg, key.cfg.h, tilde_encoder(key), inner)
+    return syndrome_hash(msg, pk.cfg.h, pk.encoder, pk.inner_hash)
 
 
-def tilde_sign(msg: bytes, sk: TildeSecretKey) -> TildeSignature:
+def tilde_sign(msg: bytes, sk: SecretKey) -> TildeSignature:
     """Single decode of the unscrambled digest; the encoder's weight bound
     guarantees a preimage exists."""
-    digest = tilde_digest(msg, sk)
-    e = patterson_decode(sk.code, mat_vec(sk.scrambler_inv, digest))
+    e = _decode_scrambled(sk, tilde_digest(msg, sk.pk))
     if e is None:
         raise DecodingInvariantError("a weight-bounded syndrome failed to decode")
     return TildeSignature(sk.perm.apply(e))
@@ -362,14 +318,16 @@ class Scheme:
     counter     the signature's counter field: "counter", "nonce" or None
     header      the key attributes a key file stores after m and t, an
                 ordered subset of ("w", "hash_id", "encoder_id")
-    scrambled   whether the key carries a scrambler S
+    scrambled   whether the key carries a scrambler S: H_pub = S*H*P, else H*P
     signature   the signature type: signature(error=e, **{counter: c})
-    keygen      keygen(m=, t=, rng=, **header fields); absent fields default
-    from_parts  from_parts(code=, perm=, [scrambler=, scrambler_inv=,]
-                **header fields) -> (sk, pk)
-    public_key  public_key(h_pub, t, **header fields) -> pk
+    public_key_type
+                public_key_type(h_pub, t, **header fields) -> pk; absent
+                fields take its defaults
     sign        sign(msg, sk, rng) -> signature
     digest      digest(msg, sig, pk): what H_pub * sig.error must equal
+
+    Every scheme's secret key is a `SecretKey` built by `from_parts`, and
+    `keygen` draws its parts.
     """
 
     name: str
@@ -377,11 +335,29 @@ class Scheme:
     header: tuple[str, ...]
     scrambled: bool
     signature: type
-    keygen: Callable
-    from_parts: Callable
-    public_key: Callable
+    public_key_type: type
     sign: Callable
     digest: Callable
+
+    def from_parts(
+        self, code: GoppaCode, perm: Permutation, scrambler=None, scrambler_inv=None, **fields
+    ):
+        """(sk, pk) from a code, a permutation P, S and S^-1 if the scheme
+        scrambles, and the header fields."""
+        if (scrambler is None) == self.scrambled:
+            need = "needs" if self.scrambled else "takes no"
+            raise BadParameters(f"{self.name} {need} scrambler")
+        h = code.h if scrambler is None else mat_mul(scrambler, code.h)
+        pk = self.public_key_type(perm.permute_columns(h), code.t, **fields)
+        return SecretKey(code, perm, pk, scrambler, scrambler_inv), pk
+
+    def keygen(self, m: int, t: int, rng, **fields):
+        """Draws the code, then S (if the scheme scrambles), then P: the RNG
+        order every seeded key depends on."""
+        code = goppa_keygen(m, t, rng)
+        s = rand_invertible(code.n_minus_k, rng) if self.scrambled else ()
+        perm = Permutation.random(code.n, rng)
+        return self.from_parts(code, perm, *s, **fields)
 
     def verify(self, msg: bytes, sig, pk) -> bool:
         if not _gate(self.counter, sig, pk):
@@ -390,36 +366,22 @@ class Scheme:
 
 
 CFS = Scheme(
-    "cfs", "counter", ("hash_id",), True, CfsSignature,
-    keygen=cfs_keygen,
-    from_parts=cfs_keys_from_parts,
-    public_key=CfsPublicKey,
+    "cfs", "counter", ("hash_id",), True, CfsSignature, CfsPublicKey,
     sign=lambda msg, sk, rng: cfs_sign(msg, sk),
     digest=lambda msg, sig, pk: message_hash(msg, sig.counter, pk.h_pub.rows, pk.hash_id),
 )
 MCFS = Scheme(
-    "mcfs", "nonce", ("hash_id",), True, McfsSignature,
-    keygen=cfs_keygen,
-    from_parts=cfs_keys_from_parts,
-    public_key=CfsPublicKey,
+    "mcfs", "nonce", ("hash_id",), True, McfsSignature, CfsPublicKey,
     sign=mcfs_sign,
     digest=lambda msg, sig, pk: message_hash(msg, sig.nonce, pk.h_pub.rows, pk.hash_id),
 )
 MCFSC = Scheme(
-    "mcfsc", "nonce", ("w",), False, McfsSignature,
-    keygen=mcfsc_keygen,
-    from_parts=mcfsc_keys_from_parts,
-    public_key=lambda h_pub, t, w: McfscPublicKey(h_pub, t, w, HashConfig(h_pub, w)),
+    "mcfsc", "nonce", ("w",), False, McfsSignature, McfscPublicKey,
     sign=mcfsc_sign,
     digest=lambda msg, sig, pk: chained_digest(msg, sig.nonce, pk.cfg),
 )
 TILDE = Scheme(
-    "tilde", None, ("w", "hash_id", "encoder_id"), True, TildeSignature,
-    keygen=tilde_keygen,
-    from_parts=tilde_keys_from_parts,
-    public_key=lambda h_pub, t, w, hash_id, encoder_id: TildePublicKey(
-        h_pub, t, w, hash_id, encoder_id, HashConfig(h_pub, w)
-    ),
+    "tilde", None, ("w", "hash_id", "encoder_id"), True, TildeSignature, TildePublicKey,
     sign=lambda msg, sk, rng: tilde_sign(msg, sk),
     digest=lambda msg, sig, pk: tilde_digest(msg, pk),
 )

@@ -110,7 +110,7 @@ def test_forge_tilde_consistent_with_forge_mcfsc(mcfsc_keys):
     msk, mpk = mcfsc_keys
     ident = BitMatrix.identity(msk.code.n_minus_k)
     _, tpk = tilde_keys_from_parts(
-        msk.code, ident, ident, msk.perm, msk.w, "regular", "md-stopped"
+        msk.code, ident, ident, msk.perm, mpk.w, "regular", "md-stopped"
     )
     rng = random.Random(410)
     for _ in range(20):

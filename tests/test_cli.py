@@ -182,6 +182,8 @@ HOSTILE = {
     "sig-bits-not-int": ("verify", "sig", b"\nbits 16", b"\nbits 0x10"),
     "sig-nonce-not-int": ("verify", "sig", b"\nnonce ", b"\nnonce n"),
     "pk-t-disagrees-with-H": ("verify", "pk", b"\nt 3", b"\nt 9"),
+    # an m=1 key with a matching 2x2 H; the original matrix trails unread
+    "pk-m-1": ("verify", "pk", b"\nm 4\nt 3\nw 2\n", b"\nm 1\nt 2\nw 1\nH 2 2\n80\n40\n"),
 }
 
 

@@ -155,6 +155,11 @@ def _first_value(name, value):
     return mutate
 
 
+def _rest_from(marker, rest):
+    """Replace everything from `marker` on with `rest`."""
+    return lambda text: text[: text.index(marker)] + rest
+
+
 # (file kind, scheme, mutation of the file's bytes)
 MALFORMED = [
     ("pk", "cfs", lambda text: b"not a key file\n"),
@@ -199,6 +204,19 @@ MALFORMED = [
     ("sk", "cfs", _first_value(b"g", b"-1")),
     ("sk", "cfs", _first_value(b"support", b"10")),
     ("sk", "cfs", _first_value(b"support", b"-1")),
+    # an (m, t) key generation refuses, with a key that matches it: t < 2
+    # (verify then accepts the zero error), m outside 2..16, m*t >= 2^m
+    ("pk", "cfs", _rest_from(b"\nm 4", b"\nm 4\nt 0\nhash_id sha256\nH 0 16\n")),
+    ("pk", "cfs", _rest_from(b"\nm 4", b"\nm 1\nt 2\nhash_id sha256\nH 2 2\n80\n40\n")),
+    (
+        "sk",
+        "cfs",
+        _rest_from(
+            b"\nm 4",
+            b"\nm 2\nt 2\nhash_id sha256\ng 2 1 1\nsupport 0 1 2 3\n"
+            b"S 4 4\n80\n40\n20\n10\nP 0 1 2 3\n",
+        ),
+    ),
 ]
 
 

@@ -9,6 +9,7 @@ from cfslab.goppa import goppa_keygen, patterson_decode
 from cfslab.linalg import BitMatrix, BitVector, Permutation, mat_mul, mat_vec, inverse
 from cfslab.metering import count_operations
 from cfslab.schemes import (
+    SCHEMES,
     CfsSignature,
     McfsSignature,
     TildeSignature,
@@ -57,11 +58,40 @@ def test_cfs_keygen_shapes():
     assert mat_mul(sk.scrambler, sk.scrambler_inv) == BitMatrix.identity(8)
 
 
-def test_cfs_identity_parts_give_bare_h():
+def _header_fields(scheme):
+    return {"w": 2} if "w" in scheme.header else {}
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_identity_parts_give_bare_h(name):
+    scheme = SCHEMES[name]
+    code = goppa_keygen(4, 3, random.Random(305))
+    ident = BitMatrix.identity(code.n_minus_k)
+    perm = Permutation.identity(code.n)
+    s = (ident, ident) if scheme.scrambled else ()
+    sk, pk = scheme.from_parts(code, perm, *s, **_header_fields(scheme))
+    assert pk.h_pub == code.h
+    assert sk.pk is pk
+    # a scrambler goes with exactly the scrambled schemes
+    wrong = () if scheme.scrambled else (ident, ident)
+    with pytest.raises(BadParameters):
+        scheme.from_parts(code, perm, *wrong, **_header_fields(scheme))
+
+
+def test_cfs_keys_from_parts_is_the_table_path():
     code = goppa_keygen(4, 3, random.Random(305))
     ident = BitMatrix.identity(code.n_minus_k)
     sk, pk = cfs_keys_from_parts(code, ident, ident, Permutation.identity(code.n))
-    assert pk.h_pub == code.h
+    assert pk.h_pub == code.h and sk.pk is pk
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_keygen_keeps_its_public_key(name):
+    scheme = SCHEMES[name]
+    sk, pk = scheme.keygen(4, 3, random.Random(306), **_header_fields(scheme))
+    assert sk.pk is pk
+    assert (sk.scrambler is not None) == scheme.scrambled
+    assert pk.h_pub.rows == sk.code.n_minus_k
 
 
 def test_cfs_key_algebra_round_trip(cfs_keys):
@@ -207,7 +237,7 @@ def test_mcfsc_sign_single_decode_weight_w(mcfsc_keys):
         with count_operations() as ops:
             sig = mcfsc_sign(msg, sk, rng)
         assert ops.decode_calls == 1  # never retries
-        assert sig.error.weight == sk.w  # the digest's unique preimage is regular
+        assert sig.error.weight == pk.w  # the digest's unique preimage is regular
         assert mcfsc_verify(msg, sig, pk)
 
 
@@ -270,7 +300,7 @@ def test_tilde_reproduces_mcfsc_signing(mcfsc_keys):
     msk, mpk = mcfsc_keys
     ident = BitMatrix.identity(msk.code.n_minus_k)
     tsk, tpk = tilde_keys_from_parts(
-        msk.code, ident, ident, msk.perm, msk.w, "regular", "md-stopped"
+        msk.code, ident, ident, msk.perm, mpk.w, "regular", "md-stopped"
     )
     assert tpk.h_pub == mpk.h_pub
     rng = random.Random(320)
