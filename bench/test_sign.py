@@ -1,0 +1,49 @@
+"""Each scheme's public signer at the end-to-end benchmark's parameters.
+
+cfs and mcfs sign 32-byte messages at m=10, t=4: about t! = 24 decodes per
+signature, almost all of them failing.  mcfsc and tilde (regular encoder,
+stopped chain) sign a 1 KiB message at m=10, t=6, w=4: one decode, with the
+code-based hash over the message taking the rest.  All four run through the
+one signing loop, `Scheme.sign`.
+
+    python -m pytest bench/test_sign.py --benchmark-only
+"""
+
+import itertools
+import random
+
+import pytest
+
+from cfslab import schemes
+
+BATCH = 32
+
+# scheme -> (keygen, its arguments before the rng, message bytes)
+PARAMS = {
+    "cfs": (schemes.cfs_keygen, (10, 4), 32),
+    "mcfs": (schemes.cfs_keygen, (10, 4), 32),
+    "mcfsc": (schemes.mcfsc_keygen, (10, 6, 4), 1024),
+    "tilde": (schemes.tilde_keygen, (10, 6, 4), 1024),
+}
+SIGNERS = {
+    "cfs": lambda msg, sk, rng: schemes.cfs_sign(msg, sk),
+    "mcfs": lambda msg, sk, rng: schemes.mcfs_sign(msg, sk, rng),
+    "mcfsc": lambda msg, sk, rng: schemes.mcfsc_sign(msg, sk, rng),
+    "tilde": lambda msg, sk, rng: schemes.tilde_sign(msg, sk),
+}
+
+
+@pytest.mark.parametrize("scheme", PARAMS)
+def test_sign(benchmark, scheme):
+    keygen, args, size = PARAMS[scheme]
+    rng = random.Random(f"sign/{scheme}")
+    sk, pk = keygen(*args, rng)
+    messages = [rng.randbytes(size) for _ in range(BATCH)]
+    benchmark.group = f"{scheme}_sign"
+    benchmark.extra_info["message_bytes"] = size
+    sign = SIGNERS[scheme]
+    cycle = itertools.cycle(messages)
+    benchmark(lambda: sign(next(cycle), sk, rng))
+    verify = getattr(schemes, f"{scheme}_verify")
+    for msg in messages[:4]:
+        assert verify(msg, sign(msg, sk, rng), pk)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codehash import md_final_state, md_hash, regular_word
-from .errors import NoPermutationError, WeightBoundViolation
+from .codehash import md_final_state, regular_word
+from .errors import NoPermutationError
 from .linalg import BitMatrix, Permutation
 from .metering import OperationCount, count_operations
 from .schemes import (
@@ -28,6 +28,7 @@ from .schemes import (
     TildePublicKey,
     TildeSignature,
     _counter_bytes,
+    chain_input,
     draw_nonce,
 )
 
@@ -51,8 +52,7 @@ def forge_mcfsc(msg: bytes, pk: McfscPublicKey, rng) -> Forgery:
     """
     with count_operations() as cost:
         nonce = draw_nonce(rng, pk.r)
-        inner = md_hash(msg, pk.cfg)
-        state = md_final_state(inner.to_bytes() + _counter_bytes(nonce, pk.r), pk.cfg)
+        state = md_final_state(chain_input(msg, nonce, pk.cfg), pk.cfg)
         error = regular_word(state, pk.cfg)
     return Forgery(msg, McfsSignature(nonce, error), cost, pk.r)
 
@@ -61,17 +61,12 @@ def forge_tilde(msg: bytes, pk: TildePublicKey) -> Forgery:
     """Output encoder(inner_hash(msg)) as the signature.
 
     The scheme's digest is the syndrome of that very word, so the word
-    verifies against it; the weight bound of the encoder is the whole
-    weight gate.  The honest signer pays a decode to arrive at the same
-    vector; the attacker just writes it down.
+    verifies against it; the encoder's own weight bound, enforced on
+    every call, is the whole weight gate.  The honest signer pays a decode
+    to arrive at the same vector; the attacker just writes it down.
     """
-    encoder = pk.encoder
     with count_operations() as cost:
-        word = encoder(pk.inner_hash(msg))
-        if word.weight > encoder.max_weight:
-            raise WeightBoundViolation(
-                f"encoder {encoder.name!r} produced weight {word.weight}"
-            )
+        word = pk.encoder(pk.inner_hash(msg))
     return Forgery(msg, TildeSignature(word), cost, pk.h_pub.rows)
 
 

@@ -21,8 +21,7 @@ import random
 import statistics
 import sys
 
-from . import attacks, keyfiles, schemes
-from .codehash import ENCODER_IDS
+from . import attacks, codehash, keyfiles, schemes
 from .errors import CfsLabError
 from .goppa import decodable_census, goppa_keygen
 from .metering import count_operations
@@ -183,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True, help="field extension degree")
     p.add_argument("-t", type=int, required=True, help="correction capability")
     p.add_argument("-w", type=int, help="hash block count (mcfsc, tilde)")
-    p.add_argument("--hash-id", dest="hash_id", choices=schemes.HASH_IDS)
-    p.add_argument("--encoder", dest="encoder_id", choices=ENCODER_IDS)
+    p.add_argument("--hash-id", dest="hash_id", choices=schemes.INNER_HASHES)
+    p.add_argument("--encoder", dest="encoder_id", choices=codehash.ENCODERS)
     p.add_argument("--seed", type=int)
     p.add_argument("--sk", required=True, help="secret key output path")
     p.add_argument("--pk", required=True, help="public key output path")

@@ -141,44 +141,55 @@ def digest_bits(data: bytes, nbits: int) -> BitVector:
 
 @dataclass(frozen=True)
 class BoundedWeightEncoder:
-    """A map from s-bit states to n-bit words of weight at most max_weight."""
+    """A map from s-bit states to n-bit words of weight at most max_weight;
+    every call enforces the bound (WeightBoundViolation)."""
 
     name: str
     max_weight: int
     fn: Callable[[BitVector], BitVector]
 
     def __call__(self, x: BitVector) -> BitVector:
-        return self.fn(x)
+        word = self.fn(x)
+        if word.weight > self.max_weight:
+            raise WeightBoundViolation(
+                f"encoder {self.name!r} produced weight {word.weight} > {self.max_weight}"
+            )
+        return word
+
+
+def registered(registry: dict, key: str, kind: str):
+    """registry[key]; an unknown key raises BadParameters."""
+    try:
+        return registry[key]
+    except KeyError:
+        raise BadParameters(f"unknown {kind} {key!r}") from None
+
+
+def _regular(cfg: HashConfig, t: int):
+    if cfg.w > t:
+        raise BadParameters(f"regular encoder has weight {cfg.w} > bound {t}")
+    return lambda x: regular_word(x, cfg)
+
+
+def _digits(cfg: HashConfig, t: int):
+    n = cfg.n
+    return lambda x: BitVector.from_indices(n, {x.to_int() // n**i % n for i in range(t)})
+
+
+# encoder id -> build(cfg, t), the word map of the encoder bounded by t:
+#   regular -- the one-bit-per-block embedding (weight exactly w; needs w <= t)
+#   digits  -- base-n digits of the state select up to t positions
+#   zero    -- the constant zero word (degenerate but within every bound)
+ENCODERS = {
+    "regular": _regular,
+    "digits": _digits,
+    "zero": lambda cfg, t: lambda x: BitVector.zeros(cfg.n),
+}
 
 
 def make_encoder(encoder_id: str, cfg: HashConfig, t: int) -> BoundedWeightEncoder:
-    """Registered encoders:
-
-    regular -- the one-bit-per-block embedding (weight exactly w; needs w <= t)
-    digits  -- base-n digits of the state select up to t positions
-    zero    -- the constant zero word (degenerate but within every bound)
-    """
-    if encoder_id == "regular":
-        if cfg.w > t:
-            raise BadParameters(f"regular encoder has weight {cfg.w} > bound {t}")
-        return BoundedWeightEncoder("regular", t, lambda x: regular_word(x, cfg))
-    if encoder_id == "digits":
-
-        def digits(x: BitVector) -> BitVector:
-            v = x.to_int()
-            positions = set()
-            for _ in range(t):
-                positions.add(v % cfg.n)
-                v //= cfg.n
-            return BitVector.from_indices(cfg.n, positions)
-
-        return BoundedWeightEncoder("digits", t, digits)
-    if encoder_id == "zero":
-        return BoundedWeightEncoder("zero", t, lambda x: BitVector.zeros(cfg.n))
-    raise BadParameters(f"unknown encoder id {encoder_id!r}")
-
-
-ENCODER_IDS = ("regular", "digits", "zero")
+    build = registered(ENCODERS, encoder_id, "encoder id")
+    return BoundedWeightEncoder(encoder_id, t, build(cfg, t))
 
 
 def syndrome_hash(
@@ -189,12 +200,7 @@ def syndrome_hash(
 ) -> BitVector:
     """Hash into the decodable-syndrome set: H * encoder(inner_hash(msg)).
 
-    The encoder's weight bound is what guarantees decodability, so it is
-    enforced here on every call.
+    The encoder's weight bound is what guarantees decodability; the encoder
+    enforces it on every call (WeightBoundViolation).
     """
-    word = encoder(inner_hash(msg))
-    if word.weight > encoder.max_weight:
-        raise WeightBoundViolation(
-            f"encoder {encoder.name!r} produced weight {word.weight} > {encoder.max_weight}"
-        )
-    return mat_vec(h_matrix, word)
+    return mat_vec(h_matrix, encoder(inner_hash(msg)))

@@ -36,6 +36,7 @@ decoder reads a locator's roots off the code's bit-sliced parity-check rows
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import zip_longest
 
 from .errors import DegenerateSyndrome, InversionOfZero, NotInvertible
@@ -59,6 +60,30 @@ _REDUCTION = {
 }
 
 
+@cache
+def _tables(m: int) -> tuple[tuple[int, ...], ...]:
+    """exp (doubled, so a sum of two logs indexes it), log and sqrt tables
+    of GF(2^m): built once per m, immutable, shared by every GF2m(m)."""
+    order, modulus = 1 << m, _REDUCTION[m]
+    exp = [0] * (2 * order)
+    log = [0] * order
+    v = 1
+    for i in range(order - 1):
+        exp[i] = v
+        log[v] = i
+        v <<= 1  # multiply by x
+        if v & order:
+            v ^= modulus
+    for i in range(order - 1, 2 * order):
+        exp[i] = exp[i - (order - 1)]
+    # sqrt table: squaring is a bijection in characteristic 2, and
+    # (alpha^k)^2 = alpha^(2k)
+    sq = [0] * order
+    for k in range(order - 1):
+        sq[exp[2 * k]] = exp[k]
+    return tuple(exp), tuple(log), tuple(sq)
+
+
 class GF2m:
     """The field GF(2^m) for 2 <= m <= 16, with log/exp table arithmetic."""
 
@@ -68,26 +93,7 @@ class GF2m:
         self.m = m
         self.order = 1 << m
         self.modulus = _REDUCTION[m]
-
-        exp = [0] * (2 * self.order)
-        log = [0] * self.order
-        v = 1
-        for i in range(self.order - 1):
-            exp[i] = v
-            log[v] = i
-            v <<= 1  # multiply by x
-            if v & self.order:
-                v ^= self.modulus
-        for i in range(self.order - 1, 2 * self.order):
-            exp[i] = exp[i - (self.order - 1)]
-        self._exp = exp
-        self._log = log
-        # sqrt table: squaring is a bijection in characteristic 2, and
-        # (alpha^k)^2 = alpha^(2k)
-        sq = [0] * self.order
-        for k in range(self.order - 1):
-            sq[exp[2 * k]] = exp[k]
-        self._sqrt = sq
+        self._exp, self._log, self._sqrt = _tables(m)
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:

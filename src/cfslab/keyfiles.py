@@ -11,8 +11,8 @@ public matrix of mcfsc) is recomputed rather than stored.  Which header
 fields a key file carries, whether it stores a scrambler and which counter
 field a signature has are read from the scheme's record in
 `schemes.SCHEMES`, and both loaders rebuild keys through that record.
-Anything a loader cannot parse, an (m, t) that key generation refuses and a
-Goppa polynomial that is not irreducible raise KeyFormatError.
+A line a loader cannot parse or does not read, an (m, t) that key generation
+refuses and a Goppa polynomial that is not irreducible raise KeyFormatError.
 """
 
 from __future__ import annotations
@@ -49,11 +49,14 @@ def _scheme(name: str) -> Scheme:
 
 
 @contextmanager
-def _parsing(path):
-    """Turn every way a hostile file fails to parse into KeyFormatError
-    (ValueError covers bad integers, bad hex and non-ASCII bytes)."""
+def _parsing(path, magic: str):
+    """A reader of the file, which must be read to its last line; every way
+    a hostile file fails to parse becomes KeyFormatError (ValueError covers
+    bad integers, bad hex and non-ASCII bytes)."""
     try:
-        yield
+        reader = _Reader(path, magic)
+        yield reader
+        reader.end()
     except KeyFormatError:
         raise
     except (CfsLabError, ValueError) as exc:
@@ -77,6 +80,11 @@ class _Reader:
             raise KeyFormatError(f"expected {name!r}, found {toks[0]!r}")
         self.pos += 1
         return toks[1:]
+
+    def end(self) -> None:
+        if self.pos < len(self.lines):
+            extra = self.lines[self.pos].split()[0]
+            raise KeyFormatError(f"unexpected {extra!r} after the last field")
 
     def value(self, name: str, parse=str):
         toks = self.next(name)
@@ -140,8 +148,7 @@ def save_public_key(pk, scheme: str, path: str) -> None:
 
 def load_secret_key(path: str):
     """Returns (scheme, secret_key)."""
-    with _parsing(path):
-        r = _Reader(path, KEY_MAGIC)
+    with _parsing(path, KEY_MAGIC) as r:
         name, scheme, m, t, fields = r.key_header("secret")
         field = GF2m(m)
         g = Poly(field, _parse_field_elems(r.next("g")))
@@ -163,8 +170,7 @@ def load_secret_key(path: str):
 
 def load_public_key(path: str):
     """Returns (scheme, public_key)."""
-    with _parsing(path):
-        r = _Reader(path, KEY_MAGIC)
+    with _parsing(path, KEY_MAGIC) as r:
         name, scheme, m, t, fields = r.key_header("public")
         h = r.matrix("H")
         if h.cols.bit_length() - 1 != m or h.cols & (h.cols - 1):
@@ -184,8 +190,7 @@ def save_signature(sig, scheme: str, path: str) -> None:
 
 def load_signature(path: str):
     """Returns (scheme, signature)."""
-    with _parsing(path):
-        r = _Reader(path, SIG_MAGIC)
+    with _parsing(path, SIG_MAGIC) as r:
         name = r.value("scheme")
         scheme = _scheme(name)
         counter = {} if scheme.counter is None else {scheme.counter: r.value(scheme.counter, int)}

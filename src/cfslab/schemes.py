@@ -4,8 +4,9 @@ encoder-based variant (tilde).
 
 The schemes differ only in how the digest that H_pub * e must match is
 formed.  `SCHEMES` maps each name to a `Scheme` record holding that digest,
-the signer, the public-key type and what the scheme's files carry; every
-verifier is one shared gate plus digest == H_pub * e, from public data only.
+the public-key type and what the scheme's files carry.  One signing loop,
+`Scheme.sign`, and one verifier, `Scheme.verify` (a shared gate plus digest
+== H_pub * e, from public data only), both read the record's digest.
 Counters and nonces are bound into the hash as big-endian fields of
 `counter_width(n-k)` bytes so that message/counter splits are unambiguous.
 """
@@ -22,17 +23,12 @@ from .codehash import (
     md_final_state,
     md_hash,
     make_encoder,
+    registered,
     syndrome_hash,
 )
-from .errors import (
-    AttemptLimitExceeded,
-    BadParameters,
-    DecodingInvariantError,
-)
+from .errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
 from .goppa import GoppaCode, goppa_keygen, patterson_decode
 from .linalg import BitMatrix, BitVector, Permutation, mat_mul, mat_vec, rand_invertible
-
-HASH_IDS = ("sha256", "md-stopped")
 
 # generic digests usable as the counter-scheme hash h; output width is a
 # free parameter, so anything XOF-like fits
@@ -64,10 +60,7 @@ def draw_nonce(rng, r: int) -> int:
 
 def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") -> BitVector:
     """The generic signing hash h(msg || counter), nbits wide."""
-    try:
-        fn = GENERIC_HASHES[hash_id]
-    except KeyError:
-        raise BadParameters(f"unknown generic hash id {hash_id!r}") from None
+    fn = registered(GENERIC_HASHES, hash_id, "generic hash id")
     return fn(msg + _counter_bytes(counter, nbits), nbits)
 
 
@@ -84,10 +77,6 @@ class SecretKey:
     scrambler_inv: BitMatrix | None = None
 
 
-def _decode_scrambled(sk: SecretKey, digest: BitVector) -> BitVector | None:
-    return patterson_decode(sk.code, mat_vec(sk.scrambler_inv, digest))
-
-
 # --------------------------------------------------------------------------
 # cfs / mcfs: scrambled keys, generic hash, retry loop
 # --------------------------------------------------------------------------
@@ -100,8 +89,7 @@ class CfsPublicKey:
     hash_id: str = "sha256"
 
     def __post_init__(self):
-        if self.hash_id not in GENERIC_HASHES:
-            raise BadParameters(f"unknown generic hash id {self.hash_id!r}")
+        registered(GENERIC_HASHES, self.hash_id, "generic hash id")
 
 
 @dataclass(frozen=True)
@@ -136,18 +124,9 @@ def cfs_keygen(m: int, t: int, rng, hash_id: str = "sha256") -> tuple[SecretKey,
     return CFS.keygen(m, t, rng, hash_id=hash_id)
 
 
-def _sign_retry(msg: bytes, sk: SecretKey, counters, signature, max_attempts: int):
-    r = sk.code.n_minus_k
-    for counter in counters:
-        e = _decode_scrambled(sk, message_hash(msg, counter, r, sk.pk.hash_id))
-        if e is not None:
-            return signature(counter, sk.perm.apply(e))
-    raise AttemptLimitExceeded(f"no decodable digest in {max_attempts} attempts")
-
-
 def cfs_sign(msg: bytes, sk: SecretKey, max_attempts: int = DEFAULT_ATTEMPT_CAP) -> CfsSignature:
     """Increment a counter from 0 until the digest decodes; deterministic."""
-    return _sign_retry(msg, sk, range(max_attempts), CfsSignature, max_attempts)
+    return CFS.sign(msg, sk, None, max_attempts)
 
 
 def cfs_verify(msg: bytes, sig: CfsSignature, pk: CfsPublicKey) -> bool:
@@ -158,9 +137,7 @@ def mcfs_sign(
     msg: bytes, sk: SecretKey, rng, max_attempts: int = DEFAULT_ATTEMPT_CAP
 ) -> McfsSignature:
     """Like cfs_sign but with a fresh random nonce per attempt."""
-    r = sk.code.n_minus_k
-    nonces = (draw_nonce(rng, r) for _ in range(max_attempts))
-    return _sign_retry(msg, sk, nonces, McfsSignature, max_attempts)
+    return MCFS.sign(msg, sk, rng, max_attempts)
 
 
 def mcfs_verify(msg: bytes, sig: McfsSignature, pk: CfsPublicKey) -> bool:
@@ -198,23 +175,20 @@ def mcfsc_keygen(m: int, t: int, w: int, rng) -> tuple[SecretKey, McfscPublicKey
     return MCFSC.keygen(m, t, rng, w=w)
 
 
+def chain_input(msg: bytes, nonce: int, cfg: HashConfig) -> bytes:
+    """h(msg) || nonce, the inner digest re-entering as plain bytes."""
+    return md_hash(msg, cfg).to_bytes() + _counter_bytes(nonce, cfg.r)
+
+
 def chained_digest(msg: bytes, nonce: int, cfg: HashConfig) -> BitVector:
-    """h(h(msg) || nonce) with the inner digest re-entering as plain bytes."""
-    inner = md_hash(msg, cfg)
-    return md_hash(inner.to_bytes() + _counter_bytes(nonce, cfg.r), cfg)
+    """h(h(msg) || nonce)."""
+    return md_hash(chain_input(msg, nonce, cfg), cfg)
 
 
 def mcfsc_sign(msg: bytes, sk: SecretKey, rng) -> McfsSignature:
     """Single decode, no retry: the digest is a weight-w syndrome by
     construction, and w < t keeps it inside the decoder's reach."""
-    nonce = draw_nonce(rng, sk.code.n_minus_k)
-    digest = chained_digest(msg, nonce, sk.pk.cfg)
-    # H_pub = H*P, so the digest is, bit for bit, also a syndrome under H
-    # (of the un-permuted error); it can be decoded directly.
-    e = patterson_decode(sk.code, digest)
-    if e is None:
-        raise DecodingInvariantError("a weight-w syndrome failed to decode")
-    return McfsSignature(nonce, sk.perm.apply(e))
+    return MCFSC.sign(msg, sk, rng)
 
 
 def mcfsc_verify(msg: bytes, sig: McfsSignature, pk: McfscPublicKey) -> bool:
@@ -226,11 +200,18 @@ def mcfsc_verify(msg: bytes, sig: McfsSignature, pk: McfscPublicKey) -> bool:
 # --------------------------------------------------------------------------
 
 
+# tilde hash id -> inner_hash(msg, cfg), s bits; the lambdas look the hash
+# up at call time, so a patched module global is seen
+INNER_HASHES = {
+    "sha256": lambda msg, cfg: digest_bits(msg, cfg.s),
+    "md-stopped": lambda msg, cfg: md_final_state(msg, cfg),
+}
+
+
 @dataclass(frozen=True)
 class TildePublicKey:
-    """Besides cfg, the key resolves its encoder and its inner hash once:
-    the stopped code-based chain, or a generic digest truncated to the
-    state length."""
+    """Besides cfg, the key resolves its encoder and its inner hash
+    (`INNER_HASHES[hash_id]`) once."""
 
     h_pub: BitMatrix
     t: int
@@ -243,15 +224,10 @@ class TildePublicKey:
 
     def __post_init__(self):
         cfg = HashConfig(self.h_pub, self.w)
-        if self.hash_id == "md-stopped":
-            inner = lambda msg: md_final_state(msg, cfg)
-        elif self.hash_id == "sha256":
-            inner = lambda msg: digest_bits(msg, cfg.s)
-        else:
-            raise BadParameters(f"unknown hash id {self.hash_id!r}")
+        inner = registered(INNER_HASHES, self.hash_id, "hash id")
         object.__setattr__(self, "cfg", cfg)
         object.__setattr__(self, "encoder", make_encoder(self.encoder_id, cfg, self.t))
-        object.__setattr__(self, "inner_hash", inner)
+        object.__setattr__(self, "inner_hash", lambda msg: inner(msg, cfg))
 
 
 def tilde_keys_from_parts(
@@ -278,18 +254,10 @@ def tilde_keygen(
     return TILDE.keygen(m, t, rng, w=w, encoder_id=encoder_id, hash_id=hash_id)
 
 
-def tilde_digest(msg: bytes, pk: TildePublicKey) -> BitVector:
-    """The scheme's message digest: H_pub * encoder(inner_hash(msg))."""
-    return syndrome_hash(msg, pk.cfg.h, pk.encoder, pk.inner_hash)
-
-
 def tilde_sign(msg: bytes, sk: SecretKey) -> TildeSignature:
     """Single decode of the unscrambled digest; the encoder's weight bound
     guarantees a preimage exists."""
-    e = _decode_scrambled(sk, tilde_digest(msg, sk.pk))
-    if e is None:
-        raise DecodingInvariantError("a weight-bounded syndrome failed to decode")
-    return TildeSignature(sk.perm.apply(e))
+    return TILDE.sign(msg, sk, None)
 
 
 def tilde_verify(msg: bytes, sig: TildeSignature, pk: TildePublicKey) -> bool:
@@ -323,11 +291,13 @@ class Scheme:
     public_key_type
                 public_key_type(h_pub, t, **header fields) -> pk; absent
                 fields take its defaults
-    sign        sign(msg, sk, rng) -> signature
-    digest      digest(msg, sig, pk): what H_pub * sig.error must equal
+    retries     whether signing tries counters until a digest decodes (cfs,
+                mcfs) or decodes once, its digest decodable by construction
+    digest      digest(msg, c, pk): what H_pub * sig.error must equal for
+                the counter or nonce c (tilde ignores c)
 
     Every scheme's secret key is a `SecretKey` built by `from_parts`, and
-    `keygen` draws its parts.
+    `keygen` draws its parts.  `sign` and `verify` both go through `digest`.
     """
 
     name: str
@@ -336,7 +306,7 @@ class Scheme:
     scrambled: bool
     signature: type
     public_key_type: type
-    sign: Callable
+    retries: bool
     digest: Callable
 
     def from_parts(
@@ -359,30 +329,47 @@ class Scheme:
         perm = Permutation.random(code.n, rng)
         return self.from_parts(code, perm, *s, **fields)
 
+    def sign(self, msg: bytes, sk: SecretKey, rng, max_attempts: int = DEFAULT_ATTEMPT_CAP):
+        """Decode the digest, unscrambled if the key has S, for each counter
+        in turn and permute the error by P.  cfs counts 0, 1, ...; mcfs draws
+        a nonce per attempt, mcfsc one nonce; tilde has none."""
+        counters = range(max_attempts if self.retries else 1)
+        if self.counter == "nonce":
+            counters = (draw_nonce(rng, sk.code.n_minus_k) for _ in counters)
+        for c in counters:
+            digest = self.digest(msg, c, sk.pk)
+            if sk.scrambler_inv is not None:
+                digest = mat_vec(sk.scrambler_inv, digest)
+            e = patterson_decode(sk.code, digest)
+            if e is not None:
+                fields = {} if self.counter is None else {self.counter: c}
+                return self.signature(error=sk.perm.apply(e), **fields)
+        if self.retries:
+            raise AttemptLimitExceeded(f"no decodable digest in {max_attempts} attempts")
+        raise DecodingInvariantError(f"a {self.name} digest failed to decode")
+
     def verify(self, msg: bytes, sig, pk) -> bool:
         if not _gate(self.counter, sig, pk):
             return False
-        return self.digest(msg, sig, pk) == mat_vec(pk.h_pub, sig.error)
+        c = None if self.counter is None else getattr(sig, self.counter)
+        return self.digest(msg, c, pk) == mat_vec(pk.h_pub, sig.error)
 
 
 CFS = Scheme(
     "cfs", "counter", ("hash_id",), True, CfsSignature, CfsPublicKey,
-    sign=lambda msg, sk, rng: cfs_sign(msg, sk),
-    digest=lambda msg, sig, pk: message_hash(msg, sig.counter, pk.h_pub.rows, pk.hash_id),
+    retries=True, digest=lambda msg, c, pk: message_hash(msg, c, pk.h_pub.rows, pk.hash_id),
 )
 MCFS = Scheme(
     "mcfs", "nonce", ("hash_id",), True, McfsSignature, CfsPublicKey,
-    sign=mcfs_sign,
-    digest=lambda msg, sig, pk: message_hash(msg, sig.nonce, pk.h_pub.rows, pk.hash_id),
+    retries=True, digest=lambda msg, c, pk: message_hash(msg, c, pk.h_pub.rows, pk.hash_id),
 )
 MCFSC = Scheme(
     "mcfsc", "nonce", ("w",), False, McfsSignature, McfscPublicKey,
-    sign=mcfsc_sign,
-    digest=lambda msg, sig, pk: chained_digest(msg, sig.nonce, pk.cfg),
+    retries=False, digest=lambda msg, c, pk: chained_digest(msg, c, pk.cfg),
 )
 TILDE = Scheme(
     "tilde", None, ("w", "hash_id", "encoder_id"), True, TildeSignature, TildePublicKey,
-    sign=lambda msg, sk, rng: tilde_sign(msg, sk),
-    digest=lambda msg, sig, pk: tilde_digest(msg, pk),
+    retries=False,
+    digest=lambda msg, c, pk: syndrome_hash(msg, pk.h_pub, pk.encoder, pk.inner_hash),
 )
 SCHEMES = {s.name: s for s in (CFS, MCFS, MCFSC, TILDE)}

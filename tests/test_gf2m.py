@@ -96,6 +96,18 @@ def test_squaring_is_an_automorphism(m):
         assert field._sqrt[field.mul(a, a)] == a
 
 
+@pytest.mark.parametrize("m", [2, 5, 10])
+def test_fields_of_one_degree_share_their_tables(m):
+    a, b = GF2m(m), GF2m(m)
+    assert a._exp is b._exp and a._log is b._log and a._sqrt is b._sqrt
+    assert isinstance(a._exp, tuple)  # shared, so immutable
+    rng = random.Random(m)
+    for _ in range(500):
+        x, y = rng.randrange(a.order), rng.randrange(1, a.order)
+        assert a.mul(x, y) == b.mul(x, y)
+        assert a.inv(y) == b.inv(y)
+
+
 def test_addition_is_xor_self_cancelling():
     for a in F16.elements():
         assert a ^ a == 0

@@ -160,6 +160,10 @@ def _rest_from(marker, rest):
     return lambda text: text[: text.index(marker)] + rest
 
 
+def _repeat_last_line(text):
+    return text + text.splitlines(keepends=True)[-1]
+
+
 # (file kind, scheme, mutation of the file's bytes)
 MALFORMED = [
     ("pk", "cfs", lambda text: b"not a key file\n"),
@@ -217,6 +221,10 @@ MALFORMED = [
             b"S 4 4\n80\n40\n20\n10\nP 0 1 2 3\n",
         ),
     ),
+    # a line after the last field the loader reads
+    ("pk", "cfs", _repeat_last_line),  # one matrix row too many
+    ("sk", "cfs", _repeat_last_line),  # the P line twice
+    ("sig", "cfs", lambda text: text + b"error 00\n"),
 ]
 
 

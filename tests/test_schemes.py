@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from cfslab.attacks import forge_mcfsc, forgery_record
 from cfslab.codehash import md_hash
-from cfslab.errors import AttemptLimitExceeded, BadParameters
+from cfslab.errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
 from cfslab.goppa import goppa_keygen, patterson_decode
 from cfslab.linalg import BitMatrix, BitVector, Permutation, mat_mul, mat_vec, inverse
 from cfslab.metering import count_operations
@@ -158,6 +159,18 @@ def test_cfs_attempt_cap(cfs_keys):
     sk, _ = cfs_keys
     with pytest.raises(AttemptLimitExceeded):
         cfs_sign(b"any", sk, max_attempts=0)
+    sig = cfs_sign(b"any", sk)
+    assert sig.counter > 0  # pinned: the first digest does not decode
+    with pytest.raises(AttemptLimitExceeded):
+        cfs_sign(b"any", sk, max_attempts=sig.counter)
+    assert cfs_sign(b"any", sk, max_attempts=sig.counter + 1) == sig
+    # mcfs: the same cap over fresh nonces, at one seed
+    with count_operations() as ops:
+        sig = mcfs_sign(b"any", sk, random.Random(5))
+    assert ops.decode_calls > 1
+    with pytest.raises(AttemptLimitExceeded):
+        mcfs_sign(b"any", sk, random.Random(5), max_attempts=ops.decode_calls - 1)
+    assert mcfs_sign(b"any", sk, random.Random(5), max_attempts=ops.decode_calls) == sig
 
 
 def test_cfs_mean_attempts_near_t_factorial(cfs_keys):
@@ -310,6 +323,45 @@ def test_tilde_reproduces_mcfsc_signing(mcfsc_keys):
         chained = md_hash(msg, mpk.cfg).to_bytes() + _counter_bytes(msig.nonce, mpk.r)
         tsig = tilde_sign(chained, tsk)
         assert tsig.error == msig.error
+
+
+@pytest.mark.parametrize(
+    "keys,sign",
+    [
+        ("mcfsc_keys", lambda msg, sk: mcfsc_sign(msg, sk, random.Random(331))),
+        ("tilde_keys", tilde_sign),
+    ],
+)
+def test_single_decode_signers_raise_when_the_digest_does_not_decode(request, keys, sign):
+    # a secret key whose code is not the public key's: the digest is a
+    # decodable syndrome of the public code only, and this pinned message
+    # does not decode under the foreign one
+    sk, _ = request.getfixturevalue(keys)
+    foreign = dataclasses.replace(sk, code=goppa_keygen(4, 3, random.Random(330)))
+    assert foreign.code.g != sk.code.g
+    sign(b"not this code 1", sk)
+    with pytest.raises(DecodingInvariantError):
+        sign(b"not this code 1", foreign)
+
+
+# each scheme's public signer, called the way the CLI's table signer is
+API_SIGNERS = {
+    "cfs": lambda msg, sk, rng: cfs_sign(msg, sk),
+    "mcfs": mcfs_sign,
+    "mcfsc": mcfsc_sign,
+    "tilde": lambda msg, sk, rng: tilde_sign(msg, sk),
+}
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_table_signer_is_the_api_signer(name):
+    scheme = SCHEMES[name]
+    sk, pk = scheme.keygen(4, 3, random.Random(332), **_header_fields(scheme))
+    for i in range(10):
+        msg = b"one loop %d" % i
+        sig = scheme.sign(msg, sk, random.Random(333 + i))
+        assert sig == API_SIGNERS[name](msg, sk, random.Random(333 + i))
+        assert isinstance(sig, scheme.signature) and scheme.verify(msg, sig, pk)
 
 
 def test_weight_gate_all_four_verifiers(cfs_keys, mcfsc_keys, tilde_keys):
