@@ -331,6 +331,7 @@ def test_tilde_reproduces_mcfsc_signing(mcfsc_keys):
         ("mcfsc_keys", lambda msg, sk: mcfsc_sign(msg, sk, random.Random(331))),
         ("tilde_keys", tilde_sign),
     ],
+    ids=["mcfsc", "tilde"],
 )
 def test_single_decode_signers_raise_when_the_digest_does_not_decode(request, keys, sign):
     # a secret key whose code is not the public key's: the digest is a
