@@ -1,17 +1,24 @@
-"""The bit-order codec where signing and key loading use it.
+"""The code-based hash and the bit-order codec where signing and key loading
+use them.
 
-md_hash of a long message is dominated by padding and compression,
-digest_bits by one SHA-256 plus a bytes -> BitVector conversion, and
-BitMatrix.from_text by one hex row -> BitVector conversion per row.
+md_hash and md_final_state of a long message are bound by the chain: one
+traced `compress` per s-bit block, with the chaining state kept as an int
+and wrapped in an unchecked BitVector for each call.  forge_mcfsc on the
+same message is one md_hash plus a short second chain.  digest_bits is one
+SHA-256 plus a bytes -> BitVector conversion, and BitMatrix.from_text one
+hex row -> BitVector conversion per row.
+
+    python -m pytest bench/test_codec.py --benchmark-only
 """
 
 import random
 
 import pytest
 
-from cfslab.codehash import HashConfig, digest_bits, md_hash
-from cfslab.linalg import BitMatrix
-from cfslab.schemes import cfs_keygen
+from cfslab.attacks import forge_mcfsc
+from cfslab.codehash import HashConfig, compress, digest_bits, md_final_state, md_hash
+from cfslab.linalg import BitMatrix, BitVector
+from cfslab.schemes import cfs_keygen, mcfsc_keygen
 
 
 @pytest.fixture(scope="module")
@@ -20,12 +27,37 @@ def h_pub():
     return pk.h_pub  # 40 x 1024
 
 
-def test_md_hash_8k(benchmark, h_pub):
+@pytest.fixture(scope="module")
+def msg_8k():
+    return random.Random(18).randbytes(8192)
+
+
+def test_md_hash_8k(benchmark, h_pub, msg_8k):
     cfg = HashConfig(h_pub, 4)
-    msg = random.Random(18).randbytes(8192)
     benchmark.group = "md_hash m=10,w=4, 8 KiB"
-    digest = benchmark(md_hash, msg, cfg)
+    digest = benchmark(md_hash, msg_8k, cfg)
     assert digest.n == h_pub.rows
+
+
+def test_md_final_state_8k(benchmark, h_pub, msg_8k):
+    cfg = HashConfig(h_pub, 4)
+    benchmark.group = "md_final_state m=10,w=4, 8 KiB"
+    assert benchmark(md_final_state, msg_8k, cfg).n == cfg.s
+
+
+def test_compress(benchmark, h_pub):
+    cfg = HashConfig(h_pub, 4)
+    state = BitVector(cfg.s, random.Random(19).getrandbits(cfg.s))
+    benchmark.group = "compress m=10,w=4"
+    assert benchmark(compress, state, cfg).n == h_pub.rows
+
+
+def test_forge_mcfsc_8k(benchmark, msg_8k):
+    _, pk = mcfsc_keygen(10, 6, 4, random.Random(20))
+    rng = random.Random(21)
+    benchmark.group = "forge_mcfsc m=10,t=6,w=4, 8 KiB"
+    forgery = benchmark(forge_mcfsc, msg_8k, pk, rng)
+    assert forgery.signature.error.weight == 4
 
 
 def test_digest_bits_r40(benchmark):

@@ -11,19 +11,32 @@ Conventions the paper-free file formats rely on:
   * padding is a 1 bit, zero fill, then a 64-bit big-endian bit length,
     rounding up to a whole number of s-bit blocks;
   * chunks are read big-endian within the state;
-  * the initial state is all zeros;
+  * the initial state is all zeros unless HashConfig is given an IV;
   * combine(chain, block) truncates or zero-extends the chain value to
     s bits and XORs the block into it.
+
+The chain runs on ints packed like a BitVector (bit i = coordinate i).
+`_padded_blocks` returns the s-bit blocks as such ints and `md_final_state`
+XORs each into the state.  Each compression is one call of the module-level
+`compress`, so metering and anything that wraps it see every block: the
+state goes in wrapped in an unchecked BitVector (`linalg._bitvector`) and
+the r-bit output comes back masked to its low s bits, which is the
+truncation when r > s and the zero extension when r < s.  `compress` reads
+the state's chunks c = log2(l) bits at a time from the low end, i.e.
+little-endian, through per-block pick lists that HashConfig builds once:
+`_picks[i][v]` is column i*l + rev(v), where rev reverses the c bits of v,
+so the big-endian chunk convention costs no work per block.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .errors import BadParameters, DimensionError, WeightBoundViolation
-from .linalg import BitMatrix, BitVector, mat_vec
+from .linalg import BitMatrix, BitVector, _bitvector, mat_vec
 from .metering import tick_compression
 
 
@@ -49,10 +62,18 @@ class HashConfig:
         if iv.n != self.s:
             raise BadParameters("IV length must equal the state length s")
         self.iv = iv
-        self._columns = h_matrix.columns()
-        # big-endian chunk read = bit-reversal of the packed little-endian value
-        c = self.chunk_bits
-        self._rev = [int(format(v, f"0{c}b")[::-1], 2) for v in range(l)]
+        # rev[v] is v with its chunk_bits bits reversed: the big-endian
+        # read of a chunk.  From k to k + 1 bits every reversal shifts up
+        # one place, and v + 2^k also gains a low 1
+        rev = [0]
+        for _ in range(self.chunk_bits):
+            rev = [v << 1 for v in rev] + [v << 1 | 1 for v in rev]
+        self._rev = rev
+        # _picks[i][v]: the column that block i selects when the state's
+        # chunk i, read little-endian, is v
+        columns = h_matrix.columns()
+        pick = itemgetter(*rev)
+        self._picks = [pick(columns[i * l : (i + 1) * l]) for i in range(w)]
 
     def __repr__(self) -> str:
         return f"HashConfig(n={self.n}, w={self.w}, s={self.s}, r={self.r})"
@@ -79,26 +100,24 @@ def regular_word(x: BitVector, cfg: HashConfig) -> BitVector:
 
 def compress(x: BitVector, cfg: HashConfig) -> BitVector:
     """One column XOR per block; equals the syndrome of regular_word(x)."""
+    if x.n != cfg.s:
+        raise DimensionError(f"state must be {cfg.s} bits, got {x.n}")
     tick_compression()
+    bits = x.to_int()
+    c = cfg.chunk_bits
+    mask = cfg.l - 1
     acc = 0
-    for i, chunk in enumerate(split(x, cfg)):
-        acc ^= cfg._columns[i * cfg.l + chunk]
-    return BitVector(cfg.r, acc)
+    for picks in cfg._picks:
+        acc ^= picks[bits & mask]
+        bits >>= c
+    return _bitvector(cfg.r, acc)
 
 
-def _fit(v: BitVector, s: int) -> BitVector:
-    """Truncate or zero-extend to s bits (keeps the leading coordinates)."""
-    if v.n == s:
-        return v
-    if v.n > s:
-        return BitVector(s, v.to_int() & ((1 << s) - 1))
-    return BitVector(s, v.to_int())
+def _padded_blocks(msg: bytes, cfg: HashConfig) -> list[int]:
+    """Message bits, then 1, zero fill and a 64-bit length, as s-bit blocks
+    packed like a BitVector's int.
 
-
-def _padded_blocks(msg: bytes, cfg: HashConfig) -> list[BitVector]:
-    """Message bits, then 1, zero fill and a 64-bit length, as s-bit blocks.
-
-    The stream is one int packed like a BitVector, built by the byte codec of
+    The stream is one int packed the same way, built by the byte codec of
     `linalg`; its binary string lists stream positions last to first, so
     block i is a base-2 parse of the s characters ending s*i from the end.
     """
@@ -109,7 +128,7 @@ def _padded_blocks(msg: bytes, cfg: HashConfig) -> list[BitVector]:
     acc |= BitVector.from_bytes(nbits.to_bytes(8, "big"), 64).to_int() << pos
     end = pos + 64
     text = format(acc, f"0{end}b")
-    return [BitVector(s, int(text[i - s : i], 2)) for i in range(end, 0, -s)]
+    return [int(text[i - s : i], 2) for i in range(end, 0, -s)]
 
 
 def md_hash(msg: bytes, cfg: HashConfig) -> BitVector:
@@ -120,13 +139,13 @@ def md_hash(msg: bytes, cfg: HashConfig) -> BitVector:
 def md_final_state(msg: bytes, cfg: HashConfig) -> BitVector:
     """The last chaining state, i.e. the digest pipeline halted just before
     its final compression: s bits."""
-    chain: BitVector = cfg.iv
-    state = None
-    for i, block in enumerate(_padded_blocks(msg, cfg)):
-        if i:
-            chain = compress(state, cfg)
-        state = _fit(chain, cfg.s) ^ block
-    return state
+    s = cfg.s
+    mask = (1 << s) - 1
+    blocks = iter(_padded_blocks(msg, cfg))
+    state = cfg.iv.to_int() ^ next(blocks)
+    for block in blocks:
+        state = (compress(_bitvector(s, state), cfg).to_int() & mask) ^ block
+    return _bitvector(s, state)
 
 
 def digest_bits(data: bytes, nbits: int) -> BitVector:

@@ -65,19 +65,6 @@ class BitVector:
         return cls(n, 0)
 
     @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        """From an iterable of 0/1 values (ints or '0'/'1' characters)."""
-        acc = 0
-        n = 0
-        for b in bits:
-            b = int(b)
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            acc |= b << n
-            n += 1
-        return cls(n, acc)
-
-    @classmethod
     def from_indices(cls, n: int, indices) -> "BitVector":
         acc = 0
         for i in indices:
@@ -158,6 +145,20 @@ class BitVector:
         return f"BitVector({''.join(str(b) for b in self)!r})"
 
 
+_set_n = BitVector.n.__set__
+_set_bits = BitVector._bits.__set__
+
+
+def _bitvector(n: int, bits: int) -> BitVector:
+    """A BitVector from 0 <= bits < 2^n, taken as given and not checked.
+    The slots are set through their member descriptors, past the
+    immutability guard."""
+    v = object.__new__(BitVector)
+    _set_n(v, n)
+    _set_bits(v, bits)
+    return v
+
+
 class BitMatrix:
     """r x c matrix over GF(2), rows packed as integers."""
 
@@ -205,9 +206,6 @@ class BitMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return (self._rows[i] >> j) & 1
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, self.columns())
 
     def __eq__(self, other) -> bool:
         return (
@@ -301,9 +299,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(self._inverse)
 
-    def as_matrix(self) -> BitMatrix:
-        return BitMatrix(self.n, self.n, [1 << j for j in self._inverse])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and other.mapping == self.mapping
 
@@ -377,23 +372,6 @@ def _rref(row_ints: list[int], cols: int) -> tuple[list[int], list[int]]:
 
 def rank(mat: BitMatrix) -> int:
     return len(_rref(mat._rows, mat.cols)[1])
-
-
-def kernel_basis(mat: BitMatrix) -> list[BitVector]:
-    """Basis of the right kernel {x : mat * x = 0}."""
-    n = mat.cols
-    rows, pivots = _rref(mat._rows, n)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for i, c in enumerate(pivots):
-            if (rows[i] >> free) & 1:
-                v |= 1 << c
-        basis.append(BitVector(n, v))
-    return basis
 
 
 def inverse(mat: BitMatrix) -> BitMatrix | None:

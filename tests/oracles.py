@@ -1,0 +1,45 @@
+"""Plain constructions that the tests state facts with and `cfslab` itself
+never needs: vectors from bit strings, the transpose, permutation matrices
+and kernel bases."""
+
+from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref
+
+
+def from_bits(bits) -> BitVector:
+    """From an iterable of 0/1 values (ints or '0'/'1' characters)."""
+    acc = 0
+    n = 0
+    for b in bits:
+        b = int(b)
+        if b not in (0, 1):
+            raise ValueError("bits must be 0 or 1")
+        acc |= b << n
+        n += 1
+    return BitVector(n, acc)
+
+
+def transpose(mat: BitMatrix) -> BitMatrix:
+    return BitMatrix(mat.cols, mat.rows, mat.columns())
+
+
+def as_matrix(p: Permutation) -> BitMatrix:
+    """The matrix P with v * P = p.apply(v): row src has its bit at the
+    target coordinate that src feeds."""
+    return BitMatrix(p.n, p.n, [1 << j for j in p.inverse().mapping])
+
+
+def kernel_basis(mat: BitMatrix) -> list[BitVector]:
+    """Basis of the right kernel {x : mat * x = 0}."""
+    n = mat.cols
+    rows, pivots = _rref([mat.row(i).to_int() for i in range(mat.rows)], n)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        v = 1 << free
+        for i, c in enumerate(pivots):
+            if (rows[i] >> free) & 1:
+                v |= 1 << c
+        basis.append(BitVector(n, v))
+    return basis

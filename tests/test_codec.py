@@ -1,9 +1,11 @@
-"""The byte codec and Merkle-Damgard padding against per-bit references.
+"""The byte codec and the Merkle-Damgard chain against references.
 
 `BitVector.from_bytes`/`to_bytes` and `codehash._padded_blocks` compute the
-MSB-first bit order with a bit-reversal table and Python's int codec.  The
-reference functions below walk the bits one at a time, exactly as the
-convention is stated, and every case must agree with them.
+MSB-first bit order with a bit-reversal table and Python's int codec, and
+`md_final_state` runs the chain on ints through `compress`'s pick lists.
+The reference functions below follow each convention as it is stated: the
+codec and the padding one bit at a time, and the compression chunk by chunk
+off the columns of H.  Every case must agree with them.
 """
 
 import random
@@ -91,19 +93,58 @@ def test_padded_blocks_match_reference(m, w):
     rng = random.Random(m * w)
     for length in LENGTHS:
         msg = rng.randbytes(length)
-        blocks = _padded_blocks(msg, cfg)
-        assert all(b.n == cfg.s for b in blocks)
-        assert [b.to_int() for b in blocks] == ref_padded_blocks(msg, cfg.s)
+        assert _padded_blocks(msg, cfg) == ref_padded_blocks(msg, cfg.s)
+
+
+def ref_columns(h: BitMatrix) -> list[int]:
+    """Column j of H packed as an int (bit i = row i), read one bit at a time."""
+    return [sum(h[i, j] << i for i in range(h.rows)) for j in range(h.cols)]
+
+
+def ref_compress(state: int, columns: list[int], w: int, s: int) -> int:
+    """Chunk i is coordinates i*c .. i*c+c-1 of the s-bit state, first
+    coordinate most significant; it selects column i*l + chunk, and the
+    output is the XOR of the w selected columns."""
+    l = len(columns) // w
+    c = l.bit_length() - 1
+    coords = format(state, f"0{s}b")[::-1]  # coordinate 0 first
+    acc = 0
+    for i in range(w):
+        acc ^= columns[i * l + int(coords[i * c : i * c + c], 2)]
+    return acc
 
 
 def test_md_pipeline_over_reference_blocks():
-    cfg = _cfg(10, 4)
+    """Every shape and length, a random nonzero IV, and fewer, as many and
+    more digest bits than state bits, against a chain built from the
+    reference blocks: each chaining value is cut to its first s coordinates
+    or zero-extended to s, and the next block is XORed into it."""
     rng = random.Random(5)
-    for length in (0, 3, 55, 56, 57, 300, 2049):
-        msg = rng.randbytes(length)
-        chain, state = cfg.iv.to_int(), None
-        for block in ref_padded_blocks(msg, cfg.s):
-            state = BitVector(cfg.s, chain & ((1 << cfg.s) - 1) ^ block)
-            chain = compress(state, cfg).to_int()
-        assert md_final_state(msg, cfg) == state
-        assert md_hash(msg, cfg) == BitVector(cfg.r, chain)
+    for m, w in SHAPES:
+        n = 1 << m
+        s = w * (m - w.bit_length() + 1)
+        msgs = [rng.randbytes(length) for length in LENGTHS]
+        blocks = [ref_padded_blocks(msg, s) for msg in msgs]
+        for r in (s // 2, s, s + 5):
+            h = BitMatrix(r, n, [rng.getrandbits(n) for _ in range(r)])
+            iv = rng.getrandbits(s) | 1
+            cfg = HashConfig(h, w, BitVector(s, iv))
+            assert cfg.s == s
+            columns = ref_columns(h)
+            for msg, msg_blocks in zip(msgs, blocks):
+                chain = iv
+                for block in msg_blocks:
+                    state = (chain & ((1 << s) - 1)) ^ block
+                    chain = ref_compress(state, columns, w, s)
+                final = md_final_state(msg, cfg)
+                assert final == BitVector(s, state)
+                assert compress(final, cfg) == BitVector(r, chain)
+            assert md_hash(msg, cfg) == BitVector(r, chain)  # the longest message
+
+
+def test_compress_rejects_a_state_of_the_wrong_length():
+    for m, w in SHAPES:
+        cfg = _cfg(m, w)
+        for n in (0, cfg.s - 1, cfg.s + 1, cfg.n):
+            with pytest.raises(DimensionError):
+                compress(BitVector.zeros(n), cfg)

@@ -14,7 +14,8 @@ from cfslab.goppa import (
     goppa_keygen,
     patterson_decode,
 )
-from cfslab.linalg import BitVector, kernel_basis, mat_vec, rank
+from cfslab.linalg import BitVector, mat_vec, rank
+from oracles import kernel_basis
 
 
 @pytest.fixture(scope="module")
