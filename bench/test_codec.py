@@ -1,12 +1,13 @@
-"""The code-based hash and the bit-order codec where signing and key loading
-use them.
+"""The code-based hash where signing uses it, and the bit-order codec where
+key loading uses it.
 
 md_hash and md_final_state of a long message are bound by the chain: one
 traced `compress` per s-bit block, with the chaining state kept as an int
 and wrapped in an unchecked BitVector for each call.  forge_mcfsc on the
 same message is one md_hash plus a short second chain.  digest_bits is one
-SHA-256 plus a bytes -> BitVector conversion, and BitMatrix.from_text one
-hex row -> BitVector conversion per row.
+SHA-256 plus a bytes -> BitVector conversion.  load_public_key of a 40x1024
+key is the header checks, one hex row -> BitVector conversion per matrix
+row and the public key's hash configuration.
 
     python -m pytest bench/test_codec.py --benchmark-only
 """
@@ -17,14 +18,19 @@ import pytest
 
 from cfslab.attacks import forge_mcfsc
 from cfslab.codehash import HashConfig, compress, digest_bits, md_final_state, md_hash
-from cfslab.linalg import BitMatrix, BitVector
+from cfslab.keyfiles import load_public_key, save_public_key
+from cfslab.linalg import BitVector
 from cfslab.schemes import cfs_keygen, mcfsc_keygen
 
 
 @pytest.fixture(scope="module")
-def h_pub():
-    _, pk = cfs_keygen(10, 4, random.Random(17))
-    return pk.h_pub  # 40 x 1024
+def cfs_pk():
+    return cfs_keygen(10, 4, random.Random(17))[1]
+
+
+@pytest.fixture(scope="module")
+def h_pub(cfs_pk):
+    return cfs_pk.h_pub  # 40 x 1024
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +71,8 @@ def test_digest_bits_r40(benchmark):
     assert benchmark(digest_bits, b"m" * 40, 40).n == 40
 
 
-def test_matrix_from_text(benchmark, h_pub):
-    text = h_pub.to_text()
-    benchmark.group = "BitMatrix.from_text 40x1024"
-    assert benchmark(BitMatrix.from_text, text) == h_pub
+def test_load_public_key_40x1024(benchmark, cfs_pk, tmp_path):
+    path = tmp_path / "cfs.pk"
+    save_public_key(cfs_pk, "cfs", path)
+    benchmark.group = "load_public_key cfs m=10,t=4"
+    assert benchmark(load_public_key, path) == ("cfs", cfs_pk)

@@ -11,7 +11,7 @@ Conventions the paper-free file formats rely on:
   * padding is a 1 bit, zero fill, then a 64-bit big-endian bit length,
     rounding up to a whole number of s-bit blocks;
   * chunks are read big-endian within the state;
-  * the initial state is all zeros unless HashConfig is given an IV;
+  * the initial state is all zeros;
   * combine(chain, block) truncates or zero-extends the chain value to
     s bits and XORs the block into it.
 
@@ -43,7 +43,7 @@ from .metering import tick_compression
 class HashConfig:
     """Parameters of the code-based hash: the matrix plus the block split."""
 
-    def __init__(self, h_matrix: BitMatrix, w: int, iv: BitVector | None = None):
+    def __init__(self, h_matrix: BitMatrix, w: int):
         n = h_matrix.cols
         if w < 1 or n % w:
             raise BadParameters(f"block count w={w} must divide n={n}")
@@ -57,11 +57,6 @@ class HashConfig:
         self.chunk_bits = l.bit_length() - 1
         self.s = w * self.chunk_bits
         self.r = h_matrix.rows
-        if iv is None:
-            iv = BitVector.zeros(self.s)
-        if iv.n != self.s:
-            raise BadParameters("IV length must equal the state length s")
-        self.iv = iv
         # rev[v] is v with its chunk_bits bits reversed: the big-endian
         # read of a chunk.  From k to k + 1 bits every reversal shifts up
         # one place, and v + 2^k also gains a low 1
@@ -142,7 +137,7 @@ def md_final_state(msg: bytes, cfg: HashConfig) -> BitVector:
     s = cfg.s
     mask = (1 << s) - 1
     blocks = iter(_padded_blocks(msg, cfg))
-    state = cfg.iv.to_int() ^ next(blocks)
+    state = next(blocks)  # the all-zero initial state XOR the first block
     for block in blocks:
         state = (compress(_bitvector(s, state), cfg).to_int() & mask) ^ block
     return _bitvector(s, state)

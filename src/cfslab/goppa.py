@@ -146,9 +146,6 @@ class GoppaCode:
             nonzero |= acc >> (b * n)
         return ~nonzero & self._all_positions
 
-    def syndrome_of(self, e: BitVector) -> BitVector:
-        return mat_vec(self.h, e)
-
     def _syndrome_poly(self, s: BitVector) -> Poly:
         """Convert packed syndrome bits to sum_{i in e} 1/(x - x_i) mod g.
 

@@ -1,8 +1,8 @@
 """Key and signature files.
 
-Line-oriented text, versioned header, one `name value...` entry per line;
-matrices inline as a `name rows cols` line followed by one hex row per
-line (the gf2-linalg convention).  Everything is big-endian and
+Line-oriented text, versioned header, one `name value...` entry per line.
+This module owns the matrix format: a `name rows cols` line followed by
+one row per line in `BitVector`'s hex codec.  Everything is big-endian and
 byte-aligned, so reruns with the same seed reproduce files byte for byte.
 
 Secret keys store the Goppa polynomial and support and rebuild the parity
@@ -12,7 +12,8 @@ fields a key file carries, whether it stores a scrambler and which counter
 field a signature has are read from the scheme's record in
 `schemes.SCHEMES`, and both loaders rebuild keys through that record.
 A line a loader cannot parse or does not read, an (m, t) that key generation
-refuses and a Goppa polynomial that is not irreducible raise KeyFormatError.
+refuses, a support that is not the whole field GF(2^m) and a Goppa
+polynomial that is not irreducible raise KeyFormatError.
 """
 
 from __future__ import annotations
@@ -96,12 +97,12 @@ class _Reader:
         toks = self.next(name)
         if len(toks) != 2:
             raise KeyFormatError(f"bad matrix header for {name!r}")
-        rows = int(toks[0])
+        rows, cols = int(toks[0]), int(toks[1])
         if not 0 <= rows <= len(self.lines) - self.pos:
             raise KeyFormatError(f"truncated matrix {name!r}")
         body = self.lines[self.pos : self.pos + rows]
         self.pos += rows
-        return BitMatrix.from_text("\n".join([" ".join(toks), *body]))
+        return BitMatrix(rows, cols, [BitVector.from_hex(ln, cols).to_int() for ln in body])
 
     def key_header(self, kind: str) -> tuple[str, Scheme, int, int, dict]:
         """scheme, kind, m, t and the scheme's own header fields."""
@@ -117,8 +118,7 @@ class _Reader:
 
 
 def _matrix_lines(name: str, mat: BitMatrix) -> list[str]:
-    text = mat.to_text().splitlines()
-    return [f"{name} {text[0]}"] + text[1:]
+    return [f"{name} {mat.rows} {mat.cols}"] + [mat.row(i).to_hex() for i in range(mat.rows)]
 
 
 def _key_lines(key, scheme: str, kind: str, m: int, t: int) -> list[str]:
@@ -152,7 +152,12 @@ def load_secret_key(path: str):
         name, scheme, m, t, fields = r.key_header("secret")
         field = GF2m(m)
         g = Poly(field, _parse_field_elems(r.next("g")))
-        code = GoppaCode.build(field, g, _parse_field_elems(r.next("support")))
+        support = _parse_field_elems(r.next("support"))
+        if len(support) != field.order:
+            # public keys hold 2^m columns, so a shorter support could sign
+            # but never verify
+            raise KeyFormatError(f"stored support has {len(support)} elements, not 2^m")
+        code = GoppaCode.build(field, g, support)
         if code.t != t:
             raise KeyFormatError("stored t disagrees with the polynomial degree")
         if not _is_irreducible(g, field):

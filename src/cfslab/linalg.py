@@ -2,12 +2,14 @@
 
 Vectors and matrix rows are packed into Python integers: coordinate i of a
 vector is bit i of the integer, so XOR of rows is word-parallel for free.
-The byte/hex serialization is a separate, fixed convention: coordinate 0
-maps to the most significant bit of the first byte, which keeps files
+The byte/hex codec of a vector is a separate, fixed convention: coordinate
+0 maps to the most significant bit of the first byte, which keeps files
 big-endian and byte-aligned regardless of length.  Coordinate i is bit
 7 - (i & 7) of byte i >> 3, so once each byte's bits are reversed
 (`_BITREV`, one `bytes.translate`) the convention is exactly Python's
 little-endian int codec: `int.from_bytes`/`int.to_bytes` do the rest.
+Matrices have no text form here; the key files write one as a hex row
+per line (`keyfiles`).
 The same trick transposes: `transpose_bits` lays the values out as bytes
 and reads each output row as one strided slice turned into a binary
 numeral, so columns, column permutations and the Goppa build never loop
@@ -186,16 +188,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    @classmethod
-    def from_rows(cls, vectors) -> "BitMatrix":
-        vectors = list(vectors)
-        if not vectors:
-            raise DimensionError("a matrix needs at least one row")
-        cols = vectors[0].n
-        if any(v.n != cols for v in vectors):
-            raise DimensionError("ragged rows")
-        return cls(len(vectors), cols, [v.to_int() for v in vectors])
-
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self._rows[i])
 
@@ -220,24 +212,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-    # --- serialization: "rows cols" header, then one hex row per line ---
-
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        lines.extend(self.row(i).to_hex() for i in range(self.rows))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitMatrix":
-        lines = [ln.strip() for ln in text.strip().splitlines()]
-        try:
-            r, c = (int(tok) for tok in lines[0].split())
-        except (ValueError, IndexError) as exc:
-            raise DimensionError("bad matrix header") from exc
-        if len(lines) != r + 1:
-            raise DimensionError("bad matrix row count")
-        return cls(r, c, [BitVector.from_hex(ln, c).to_int() for ln in lines[1:]])
 
 
 class Permutation:

@@ -109,16 +109,6 @@ class TildeSignature:
     error: BitVector
 
 
-def cfs_keys_from_parts(
-    code: GoppaCode,
-    scrambler: BitMatrix,
-    scrambler_inv: BitMatrix,
-    perm: Permutation,
-    hash_id: str = "sha256",
-) -> tuple[SecretKey, CfsPublicKey]:
-    return CFS.from_parts(code, perm, scrambler, scrambler_inv, hash_id=hash_id)
-
-
 def cfs_keygen(m: int, t: int, rng, hash_id: str = "sha256") -> tuple[SecretKey, CfsPublicKey]:
     """Goppa code, random scrambler S and permutation P; public H = S*H*P."""
     return CFS.keygen(m, t, rng, hash_id=hash_id)
@@ -165,10 +155,6 @@ class McfscPublicKey:
     @property
     def r(self) -> int:
         return self.h_pub.rows
-
-
-def mcfsc_keys_from_parts(code: GoppaCode, perm: Permutation, w: int) -> tuple[SecretKey, McfscPublicKey]:
-    return MCFSC.from_parts(code, perm, w=w)
 
 
 def mcfsc_keygen(m: int, t: int, w: int, rng) -> tuple[SecretKey, McfscPublicKey]:
@@ -228,19 +214,6 @@ class TildePublicKey:
         object.__setattr__(self, "cfg", cfg)
         object.__setattr__(self, "encoder", make_encoder(self.encoder_id, cfg, self.t))
         object.__setattr__(self, "inner_hash", lambda msg: inner(msg, cfg))
-
-
-def tilde_keys_from_parts(
-    code: GoppaCode,
-    scrambler: BitMatrix,
-    scrambler_inv: BitMatrix,
-    perm: Permutation,
-    w: int,
-    encoder_id: str = "regular",
-    hash_id: str = "md-stopped",
-) -> tuple[SecretKey, TildePublicKey]:
-    fields = {"w": w, "encoder_id": encoder_id, "hash_id": hash_id}
-    return TILDE.from_parts(code, perm, scrambler, scrambler_inv, **fields)
 
 
 def tilde_keygen(

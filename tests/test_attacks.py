@@ -16,6 +16,7 @@ from cfslab.goppa import goppa_keygen
 from cfslab.linalg import BitMatrix, Permutation
 from cfslab.metering import count_operations
 from cfslab.schemes import (
+    SCHEMES,
     mcfsc_keygen,
     mcfsc_sign,
     mcfsc_verify,
@@ -105,12 +106,10 @@ def test_forge_tilde_consistent_with_forge_mcfsc(mcfsc_keys):
     # regular encoder + stopped hash on the same public matrix: feeding the
     # inner-digest-plus-nonce string to the generalized forger reproduces
     # the round-stopping forger's error vector
-    from cfslab.schemes import tilde_keys_from_parts
-
     msk, mpk = mcfsc_keys
     ident = BitMatrix.identity(msk.code.n_minus_k)
-    _, tpk = tilde_keys_from_parts(
-        msk.code, ident, ident, msk.perm, mpk.w, "regular", "md-stopped"
+    _, tpk = SCHEMES["tilde"].from_parts(
+        msk.code, msk.perm, ident, ident, w=mpk.w, encoder_id="regular", hash_id="md-stopped"
     )
     rng = random.Random(410)
     for _ in range(20):

@@ -164,6 +164,31 @@ def _repeat_last_line(text):
     return text + text.splitlines(keepends=True)[-1]
 
 
+def _first_row(name, mutate_row):
+    """Replace the first row of matrix `name` with mutate_row(row)."""
+
+    def mutate(text):
+        lines = text.split(b"\n")
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(name + b" ")) + 1
+        lines[i] = mutate_row(lines[i])
+        return b"\n".join(lines)
+
+    return mutate
+
+
+def _drop_last_position(text):
+    """The support one element short and P a bijection on the 2^m - 1
+    positions left: a well-formed code that is not on the whole field."""
+    lines = text.split(b"\n")
+    for i, ln in enumerate(lines):
+        if ln.startswith(b"support "):
+            lines[i] = ln.rsplit(b" ", 1)[0]
+        elif ln.startswith(b"P "):
+            n = len(ln.split()) - 1
+            lines[i] = b" ".join(tok for tok in ln.split(b" ") if tok != str(n - 1).encode())
+    return b"\n".join(lines)
+
+
 # (file kind, scheme, mutation of the file's bytes)
 MALFORMED = [
     ("pk", "cfs", lambda text: b"not a key file\n"),
@@ -208,6 +233,22 @@ MALFORMED = [
     ("sk", "cfs", _first_value(b"g", b"-1")),
     ("sk", "cfs", _first_value(b"support", b"10")),
     ("sk", "cfs", _first_value(b"support", b"-1")),
+    # a support that is not the whole field: H would have 2^m - 1 columns,
+    # so the key could sign but no public key of it could verify
+    ("sk", "cfs", _drop_last_position),
+    # the matrix block: a "name rows cols" header, then rows hex lines of
+    # ceil(cols / 8) bytes each
+    ("pk", "cfs", _replace(b"\nH 12 16", b"\nH 12")),
+    ("pk", "cfs", _replace(b"\nH 12 16", b"\nH 12 16 16")),
+    ("pk", "cfs", _replace(b"\nH 12 16", b"\nH 12 x")),
+    ("pk", "cfs", _replace(b"\nH 12 16", b"\nH 12 -16")),
+    ("pk", "cfs", _replace(b"\nH 12 16", b"\nH 12 8")),  # 8 columns at m=4
+    ("pk", "cfs", _first_row(b"H", lambda row: b"zz" + row[2:])),  # not hex
+    ("pk", "cfs", _first_row(b"H", lambda row: row[:-1])),  # odd length
+    ("pk", "cfs", _first_row(b"H", lambda row: row + b"00")),  # a byte long
+    ("pk", "cfs", _first_row(b"H", lambda row: row[:-2])),  # a byte short
+    ("sk", "cfs", _replace(b"\nS 12 12", b"\nS 12 16")),  # not square
+    ("sk", "cfs", _replace(b"\nS 12 12", b"\nS -1 12")),
     # an (m, t) key generation refuses, with a key that matches it: t < 2
     # (verify then accepts the zero error), m outside 2..16, m*t >= 2^m
     ("pk", "cfs", _rest_from(b"\nm 4", b"\nm 4\nt 0\nhash_id sha256\nH 0 16\n")),
@@ -263,6 +304,15 @@ def test_malformed_files_rejected(tmp_path, good_files):
         assert bad != text
         with pytest.raises(KeyFormatError):
             LOADERS[kind](_write(tmp_path / "bad", bad))
+
+
+def test_matrix_rows_may_hold_whitespace(tmp_path, good_files):
+    text = good_files["pk", "cfs"]
+    spaced = _first_row(b"H", lambda row: row[:2] + b" " + row[2:])(text)
+    assert spaced != text
+    assert load_public_key(_write(tmp_path / "spaced", spaced)) == load_public_key(
+        _write(tmp_path / "good", text)
+    )
 
 
 def _write(path, data):

@@ -131,18 +131,11 @@ def test_kernel_basis_spans_kernel():
         for v in basis:
             assert mat_vec(h, v) == BitVector.zeros(6)
         # basis vectors are independent
-        assert rank(BitMatrix.from_rows(basis)) == len(basis) if basis else True
+        assert rank(BitMatrix(len(basis), 13, [v.to_int() for v in basis])) == len(basis)
 
 
 def test_inverse_of_singular_is_none():
     assert inverse(BitMatrix(2, 2, [0b11, 0b11])) is None
-
-
-def test_matrix_text_round_trip():
-    rng = random.Random(14)
-    for _ in range(20):
-        m = random_matrix(rng.randrange(1, 9), rng.randrange(1, 20), rng)
-        assert BitMatrix.from_text(m.to_text()) == m
 
 
 def test_vector_bytes_round_trip():

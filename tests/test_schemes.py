@@ -17,18 +17,15 @@ from cfslab.schemes import (
     chained_digest,
     counter_width,
     cfs_keygen,
-    cfs_keys_from_parts,
     cfs_sign,
     cfs_verify,
     mcfs_sign,
     mcfs_verify,
     mcfsc_keygen,
-    mcfsc_keys_from_parts,
     mcfsc_sign,
     mcfsc_verify,
     message_hash,
     tilde_keygen,
-    tilde_keys_from_parts,
     tilde_sign,
     tilde_verify,
     _counter_bytes,
@@ -77,13 +74,6 @@ def test_identity_parts_give_bare_h(name):
     wrong = () if scheme.scrambled else (ident, ident)
     with pytest.raises(BadParameters):
         scheme.from_parts(code, perm, *wrong, **_header_fields(scheme))
-
-
-def test_cfs_keys_from_parts_is_the_table_path():
-    code = goppa_keygen(4, 3, random.Random(305))
-    ident = BitMatrix.identity(code.n_minus_k)
-    sk, pk = cfs_keys_from_parts(code, ident, ident, Permutation.identity(code.n))
-    assert pk.h_pub == code.h and sk.pk is pk
 
 
 @pytest.mark.parametrize("name", SCHEMES)
@@ -234,7 +224,7 @@ def test_mcfsc_keygen_parameters():
     code = goppa_keygen(4, 3, random.Random(2))
     with pytest.raises(BadParameters):
         # w must divide n: 16 % 3 != 0 (rejected by the hash config)
-        mcfsc_keys_from_parts(code, Permutation.identity(16), 3)
+        SCHEMES["mcfsc"].from_parts(code, Permutation.identity(16), w=3)
 
 
 def test_mcfsc_public_matrix_has_no_scrambler(mcfsc_keys):
@@ -312,8 +302,8 @@ def test_tilde_reproduces_mcfsc_signing(mcfsc_keys):
     # the identical error vector
     msk, mpk = mcfsc_keys
     ident = BitMatrix.identity(msk.code.n_minus_k)
-    tsk, tpk = tilde_keys_from_parts(
-        msk.code, ident, ident, msk.perm, mpk.w, "regular", "md-stopped"
+    tsk, tpk = SCHEMES["tilde"].from_parts(
+        msk.code, msk.perm, ident, ident, w=mpk.w, encoder_id="regular", hash_id="md-stopped"
     )
     assert tpk.h_pub == mpk.h_pub
     rng = random.Random(320)
