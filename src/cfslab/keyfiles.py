@@ -11,19 +11,21 @@ public matrix of mcfsc) is recomputed rather than stored.  Which header
 fields a key file carries, whether it stores a scrambler and which counter
 field a signature has are read from the scheme's record in
 `schemes.SCHEMES`, and both loaders rebuild keys through that record.
-A line a loader cannot parse or does not read, an (m, t) that key generation
-refuses, a support that is not the whole field GF(2^m) and a Goppa
-polynomial that is not irreducible raise KeyFormatError.
+This module only parses: `Scheme.from_parts` and the public-key types
+decide what a valid key is, and a loader reports their BadParameters as
+KeyFormatError.  Its own KeyFormatError is for a line it cannot parse or
+does not read, or a stored m or t that disagrees with the key it built.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
+from .codehash import registered
 from .errors import CfsLabError, KeyFormatError
 from .gf2m import GF2m, Poly
-from .goppa import GoppaCode, _is_irreducible, check_parameters
-from .linalg import BitMatrix, BitVector, Permutation, inverse
+from .goppa import GoppaCode
+from .linalg import BitMatrix, BitVector, Permutation
 from .schemes import SCHEMES, Scheme
 
 KEY_MAGIC = "cfslab-key v1"
@@ -40,13 +42,6 @@ def _fmt_field_elems(values) -> str:
 
 def _parse_field_elems(tokens) -> list[int]:
     return [int(tok, 16) for tok in tokens]
-
-
-def _scheme(name: str) -> Scheme:
-    try:
-        return SCHEMES[name]
-    except KeyError:
-        raise KeyFormatError(f"unknown scheme {name!r}") from None
 
 
 @contextmanager
@@ -107,12 +102,11 @@ class _Reader:
     def key_header(self, kind: str) -> tuple[str, Scheme, int, int, dict]:
         """scheme, kind, m, t and the scheme's own header fields."""
         name = self.value("scheme")
-        scheme = _scheme(name)
+        scheme = registered(SCHEMES, name, "scheme")
         found = self.value("kind")
         if found != kind:
             raise KeyFormatError(f"expected a {kind} key file, found kind {found!r}")
         m, t = self.value("m", int), self.value("t", int)
-        check_parameters(m, t)
         fields = {f: self.value(_LABELS.get(f, f), _PARSERS.get(f, str)) for f in scheme.header}
         return name, scheme, m, t, fields
 
@@ -122,7 +116,7 @@ def _matrix_lines(name: str, mat: BitMatrix) -> list[str]:
 
 
 def _key_lines(key, scheme: str, kind: str, m: int, t: int) -> list[str]:
-    header = [f"{_LABELS.get(f, f)} {getattr(key, f)}" for f in _scheme(scheme).header]
+    header = [f"{_LABELS.get(f, f)} {getattr(key, f)}" for f in SCHEMES[scheme].header]
     return [KEY_MAGIC, f"scheme {scheme}", f"kind {kind}", f"m {m}", f"t {t}", *header]
 
 
@@ -142,7 +136,7 @@ def save_secret_key(sk, scheme: str, path: str) -> None:
 
 
 def save_public_key(pk, scheme: str, path: str) -> None:
-    m = pk.h_pub.cols.bit_length() - 1  # full-field support: n = 2^m
+    m = pk.h_pub.rows // pk.t
     _write(path, _key_lines(pk, scheme, "public", m, pk.t) + _matrix_lines("H", pk.h_pub))
 
 
@@ -152,22 +146,11 @@ def load_secret_key(path: str):
         name, scheme, m, t, fields = r.key_header("secret")
         field = GF2m(m)
         g = Poly(field, _parse_field_elems(r.next("g")))
-        support = _parse_field_elems(r.next("support"))
-        if len(support) != field.order:
-            # public keys hold 2^m columns, so a shorter support could sign
-            # but never verify
-            raise KeyFormatError(f"stored support has {len(support)} elements, not 2^m")
-        code = GoppaCode.build(field, g, support)
-        if code.t != t:
+        if g.degree != t:
             raise KeyFormatError("stored t disagrees with the polynomial degree")
-        if not _is_irreducible(g, field):
-            raise KeyFormatError("stored Goppa polynomial is not irreducible")
+        code = GoppaCode.build(field, g, _parse_field_elems(r.next("support")))
         if scheme.scrambled:
-            s = r.matrix("S")
-            s_inv = inverse(s)
-            if s_inv is None:
-                raise KeyFormatError("stored scrambler is singular")
-            fields.update(scrambler=s, scrambler_inv=s_inv)
+            fields["scrambler"] = r.matrix("S")
         perm = Permutation.from_text(" ".join(r.next("P")))
         sk, _ = scheme.from_parts(code=code, perm=perm, **fields)
     return name, sk
@@ -177,17 +160,15 @@ def load_public_key(path: str):
     """Returns (scheme, public_key)."""
     with _parsing(path, KEY_MAGIC) as r:
         name, scheme, m, t, fields = r.key_header("public")
-        h = r.matrix("H")
-        if h.cols.bit_length() - 1 != m or h.cols & (h.cols - 1):
-            raise KeyFormatError("stored m disagrees with the matrix width")
-        if h.rows != m * t:
-            raise KeyFormatError("stored t disagrees with the matrix height")
-        return name, scheme.public_key_type(h, t, **fields)
+        pk = scheme.public_key_type(r.matrix("H"), t, **fields)
+        if pk.h_pub.rows != m * t:
+            raise KeyFormatError("stored m disagrees with the matrix height")
+        return name, pk
 
 
 def save_signature(sig, scheme: str, path: str) -> None:
     lines = [SIG_MAGIC, f"scheme {scheme}"]
-    counter = _scheme(scheme).counter
+    counter = SCHEMES[scheme].counter
     if counter is not None:
         lines.append(f"{counter} {getattr(sig, counter)}")
     _write(path, lines + [f"bits {sig.error.n}", f"error {sig.error.to_hex()}"])
@@ -197,7 +178,7 @@ def load_signature(path: str):
     """Returns (scheme, signature)."""
     with _parsing(path, SIG_MAGIC) as r:
         name = r.value("scheme")
-        scheme = _scheme(name)
+        scheme = registered(SCHEMES, name, "scheme")
         counter = {} if scheme.counter is None else {scheme.counter: r.value(scheme.counter, int)}
         n = r.value("bits", int)
         error = BitVector.from_hex(r.value("error"), n)

@@ -27,8 +27,8 @@ from .codehash import (
     syndrome_hash,
 )
 from .errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
-from .goppa import GoppaCode, goppa_keygen, patterson_decode
-from .linalg import BitMatrix, BitVector, Permutation, mat_mul, mat_vec, rand_invertible
+from .goppa import GoppaCode, _is_irreducible, check_parameters, goppa_keygen, patterson_decode
+from .linalg import BitMatrix, BitVector, Permutation, inverse, mat_mul, mat_vec, rand_invertible
 
 # generic digests usable as the counter-scheme hash h; output width is a
 # free parameter, so anything XOF-like fits
@@ -64,6 +64,15 @@ def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") 
     return fn(msg + _counter_bytes(counter, nbits), nbits)
 
 
+def _check_shape(h_pub: BitMatrix, t: int) -> None:
+    """What every public key is: H_pub of a whole-field Goppa code, with
+    m*t rows and 2^m columns for an (m, t) `check_parameters` accepts."""
+    m = h_pub.rows // max(t, 1)
+    check_parameters(m, t)
+    if h_pub.rows != m * t or h_pub.cols != 1 << m:
+        raise BadParameters(f"H_pub is {h_pub.rows} x {h_pub.cols}, not m*t x 2^m at t={t}")
+
+
 @dataclass(frozen=True)
 class SecretKey:
     """The Goppa trapdoor every scheme shares: the code, the permutation P
@@ -89,6 +98,7 @@ class CfsPublicKey:
     hash_id: str = "sha256"
 
     def __post_init__(self):
+        _check_shape(self.h_pub, self.t)
         registered(GENERIC_HASHES, self.hash_id, "generic hash id")
 
 
@@ -147,6 +157,7 @@ class McfscPublicKey:
     cfg: HashConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_shape(self.h_pub, self.t)
         if not 1 <= self.w < self.t:
             raise BadParameters(f"block count w={self.w} must be less than t={self.t}")
         # HashConfig validates divisibility and the power-of-two block size
@@ -209,6 +220,7 @@ class TildePublicKey:
     inner_hash: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_shape(self.h_pub, self.t)
         cfg = HashConfig(self.h_pub, self.w)
         inner = registered(INNER_HASHES, self.hash_id, "hash id")
         object.__setattr__(self, "cfg", cfg)
@@ -282,23 +294,29 @@ class Scheme:
     retries: bool
     digest: Callable
 
-    def from_parts(
-        self, code: GoppaCode, perm: Permutation, scrambler=None, scrambler_inv=None, **fields
-    ):
-        """(sk, pk) from a code, a permutation P, S and S^-1 if the scheme
-        scrambles, and the header fields."""
+    def from_parts(self, code: GoppaCode, perm: Permutation, scrambler=None, **fields):
+        """(sk, pk) from a code, a permutation P, S if the scheme scrambles,
+        and the header fields; BadParameters unless g is irreducible, S is
+        invertible (S^-1 is computed here) and the public-key type takes H_pub."""
         if (scrambler is None) == self.scrambled:
             need = "needs" if self.scrambled else "takes no"
             raise BadParameters(f"{self.name} {need} scrambler")
-        h = code.h if scrambler is None else mat_mul(scrambler, code.h)
+        if not _is_irreducible(code.g, code.field):
+            raise BadParameters("Goppa polynomial is not irreducible")
+        h, s_inv = code.h, None
+        if scrambler is not None:
+            s_inv = inverse(scrambler)
+            if s_inv is None:
+                raise BadParameters("scrambler is singular")
+            h = mat_mul(scrambler, h)
         pk = self.public_key_type(perm.permute_columns(h), code.t, **fields)
-        return SecretKey(code, perm, pk, scrambler, scrambler_inv), pk
+        return SecretKey(code, perm, pk, scrambler, s_inv), pk
 
     def keygen(self, m: int, t: int, rng, **fields):
         """Draws the code, then S (if the scheme scrambles), then P: the RNG
         order every seeded key depends on."""
         code = goppa_keygen(m, t, rng)
-        s = rand_invertible(code.n_minus_k, rng) if self.scrambled else ()
+        s = rand_invertible(code.n_minus_k, rng)[:1] if self.scrambled else ()
         perm = Permutation.random(code.n, rng)
         return self.from_parts(code, perm, *s, **fields)
 

@@ -109,7 +109,7 @@ def test_forge_tilde_consistent_with_forge_mcfsc(mcfsc_keys):
     msk, mpk = mcfsc_keys
     ident = BitMatrix.identity(msk.code.n_minus_k)
     _, tpk = SCHEMES["tilde"].from_parts(
-        msk.code, msk.perm, ident, ident, w=mpk.w, encoder_id="regular", hash_id="md-stopped"
+        msk.code, msk.perm, ident, w=mpk.w, encoder_id="regular", hash_id="md-stopped"
     )
     rng = random.Random(410)
     for _ in range(20):

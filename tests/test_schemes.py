@@ -66,12 +66,12 @@ def test_identity_parts_give_bare_h(name):
     code = goppa_keygen(4, 3, random.Random(305))
     ident = BitMatrix.identity(code.n_minus_k)
     perm = Permutation.identity(code.n)
-    s = (ident, ident) if scheme.scrambled else ()
+    s = (ident,) if scheme.scrambled else ()
     sk, pk = scheme.from_parts(code, perm, *s, **_header_fields(scheme))
     assert pk.h_pub == code.h
     assert sk.pk is pk
     # a scrambler goes with exactly the scrambled schemes
-    wrong = () if scheme.scrambled else (ident, ident)
+    wrong = () if scheme.scrambled else (ident,)
     with pytest.raises(BadParameters):
         scheme.from_parts(code, perm, *wrong, **_header_fields(scheme))
 
@@ -303,7 +303,7 @@ def test_tilde_reproduces_mcfsc_signing(mcfsc_keys):
     msk, mpk = mcfsc_keys
     ident = BitMatrix.identity(msk.code.n_minus_k)
     tsk, tpk = SCHEMES["tilde"].from_parts(
-        msk.code, msk.perm, ident, ident, w=mpk.w, encoder_id="regular", hash_id="md-stopped"
+        msk.code, msk.perm, ident, w=mpk.w, encoder_id="regular", hash_id="md-stopped"
     )
     assert tpk.h_pub == mpk.h_pub
     rng = random.Random(320)
