@@ -1,7 +1,8 @@
 """Plain constructions that the tests state facts with and `cfslab` itself
-never needs: vectors from bit strings, the transpose, permutation matrices
-and kernel bases."""
+never needs: vectors from bit strings, the transpose, permutation matrices,
+kernel bases and a quadratic with no root in the field."""
 
+from cfslab.gf2m import GF2m, Poly
 from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref
 
 
@@ -43,3 +44,14 @@ def kernel_basis(mat: BitMatrix) -> list[BitVector]:
                 v |= 1 << c
         basis.append(BitVector(n, v))
     return basis
+
+
+def rootless_quadratic(field: GF2m) -> Poly:
+    """The first x^2 + x + b with no root in the field: irreducible, so its
+    square builds a Goppa code (no support element is a root) whose g is
+    reducible."""
+    return next(
+        q
+        for b in range(1, field.order)
+        if all((q := Poly(field, (b, 1, 1))).eval(a) for a in field.elements())
+    )

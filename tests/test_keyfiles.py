@@ -5,7 +5,8 @@ import pytest
 from cfslab.attacks import forge_mcfsc
 from cfslab.cli import run
 from cfslab.errors import KeyFormatError
-from cfslab.gf2m import GF2m, Poly
+from cfslab.gf2m import GF2m
+from cfslab.goppa import goppa_keygen
 from cfslab.keyfiles import (
     load_public_key,
     load_secret_key,
@@ -14,7 +15,9 @@ from cfslab.keyfiles import (
     save_secret_key,
     save_signature,
 )
+from cfslab.linalg import Permutation, rand_invertible
 from cfslab.schemes import (
+    SCHEMES,
     cfs_keygen,
     cfs_sign,
     cfs_verify,
@@ -27,6 +30,8 @@ from cfslab.schemes import (
     tilde_sign,
     tilde_verify,
 )
+
+from oracles import rootless_quadratic
 
 
 def test_cfs_key_round_trip(tmp_path):
@@ -89,6 +94,24 @@ def test_cfs_signature_round_trip(tmp_path):
     assert scheme == "cfs" and sig2 == sig
 
 
+@pytest.mark.parametrize("name", SCHEMES)
+def test_keys_from_parts_round_trip(tmp_path, name):
+    # S^-1 is derived by from_parts, so a key made from parts and the same
+    # key loaded from its file hold the same inverse
+    scheme, rng = SCHEMES[name], random.Random(13)
+    code = goppa_keygen(4, 3, rng)
+    s = rand_invertible(code.n_minus_k, rng)[:1] if scheme.scrambled else ()
+    fields = {"w": 2} if "w" in scheme.header else {}
+    sk, pk = scheme.from_parts(code, Permutation.random(code.n, rng), *s, **fields)
+    save_secret_key(sk, name, tmp_path / "sk")
+    save_public_key(pk, name, tmp_path / "pk")
+    assert load_public_key(tmp_path / "pk") == (name, pk)
+    loaded, sk2 = load_secret_key(tmp_path / "sk")
+    assert loaded == name and sk2.pk == pk
+    assert (sk2.code.g, sk2.code.support, sk2.perm) == (sk.code.g, sk.code.support, sk.perm)
+    assert (sk2.scrambler, sk2.scrambler_inv) == (sk.scrambler, sk.scrambler_inv)
+
+
 def test_public_loader_rejects_secret_files(tmp_path):
     sk, pk = cfs_keygen(4, 2, random.Random(8))
     save_secret_key(sk, "cfs", tmp_path / "sk")
@@ -120,12 +143,7 @@ def test_reducible_goppa_polynomial_rejected(tmp_path, capsys):
     # code builds, but the decoder needs far more than t! attempts
     sk, _ = cfs_keygen(5, 4, random.Random(4))
     save_secret_key(sk, "cfs", tmp_path / "sk")
-    field = GF2m(5)
-    q = next(
-        q
-        for b in range(1, 32)
-        if all((q := Poly(field, (b, 1, 1))).eval(a) for a in field.elements())
-    )
+    q = rootless_quadratic(GF2m(5))
     g_line = "g " + " ".join(f"{c:x}" for c in (q * q).coeffs)
     lines = (tmp_path / "sk").read_text().splitlines()
     lines = [g_line if ln.startswith("g ") else ln for ln in lines]

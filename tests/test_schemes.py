@@ -6,8 +6,17 @@ import pytest
 from cfslab.attacks import forge_mcfsc, forgery_record
 from cfslab.codehash import md_hash
 from cfslab.errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
-from cfslab.goppa import goppa_keygen, patterson_decode
-from cfslab.linalg import BitMatrix, BitVector, Permutation, mat_mul, mat_vec, inverse
+from cfslab.gf2m import GF2m
+from cfslab.goppa import GoppaCode, goppa_keygen, patterson_decode
+from cfslab.linalg import (
+    BitMatrix,
+    BitVector,
+    Permutation,
+    inverse,
+    mat_mul,
+    mat_vec,
+    rand_invertible,
+)
 from cfslab.metering import count_operations
 from cfslab.schemes import (
     SCHEMES,
@@ -30,6 +39,8 @@ from cfslab.schemes import (
     tilde_verify,
     _counter_bytes,
 )
+
+from oracles import rootless_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +85,32 @@ def test_identity_parts_give_bare_h(name):
     wrong = () if scheme.scrambled else (ident,)
     with pytest.raises(BadParameters):
         scheme.from_parts(code, perm, *wrong, **_header_fields(scheme))
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_from_parts_rejects_what_no_key_can_be(name):
+    scheme, rng = SCHEMES[name], random.Random(306)
+    fields = _header_fields(scheme)
+
+    def parts(code):
+        s = rand_invertible(code.n_minus_k, rng)[:1] if scheme.scrambled else ()
+        return (code, Permutation.random(code.n, rng), *s)
+
+    field = GF2m(5)
+    code = goppa_keygen(5, 3, rng)
+    # 24 of the 32 field elements: a key could sign, but H_pub would not
+    # have the 2^m columns every public key has
+    with pytest.raises(BadParameters):
+        scheme.from_parts(*parts(GoppaCode.build(field, code.g, code.support[:24])), **fields)
+    # g = q^2 has no root in the field, so the code builds
+    q = rootless_quadratic(field)
+    square = GoppaCode.build(field, q * q, field.elements())
+    with pytest.raises(BadParameters, match="not irreducible"):
+        scheme.from_parts(*parts(square), **fields)
+    if scheme.scrambled:
+        singular = BitMatrix(15, 15, [1] * 15)
+        with pytest.raises(BadParameters, match="singular"):
+            scheme.from_parts(code, Permutation.random(32, rng), singular, **fields)
 
 
 @pytest.mark.parametrize("name", SCHEMES)
