@@ -1,8 +1,8 @@
 """The bit transpose where key set-up and signing use it.
 
 HashConfig reads the public matrix column by column, permute_columns builds
-H * P, GoppaCode.build turns each block of n field values into m rows, and
-every signature permutes its error once with Permutation.apply.
+H * P, the GoppaCode constructor turns each block of n field values into m
+rows, and every signature permutes its error once with Permutation.apply.
 """
 
 import random

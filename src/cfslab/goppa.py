@@ -1,13 +1,13 @@
 """Binary irreducible Goppa codes: construction, Patterson decoding, and
 an exhaustive decodability census.
 
-The parity-check matrix is built over GF(2^m) with rows x_i^j / g(x_i)
-for j = 0..t-1 and then expanded bitwise to GF(2) (bit b of a field
-element lands in binary row j*m + b): each j-block is one
-`linalg.transpose_bits` of its n field values into m rows.  The support
-is the whole field in a shuffled order, so n = 2^m and n - k = m*t once
-the expansion has full rank; rank-deficient draws are thrown away and
-regenerated.
+`GoppaCode(g, support)`, the only way to make a code, checks both and
+builds the parity-check matrix over GF(2^m), rows x_i^j / g(x_i) for
+j = 0..t-1, expanded bitwise to GF(2) (bit b of a field element lands in
+binary row j*m + b): each j-block is one `linalg.transpose_bits` of its n
+field values into m rows.  Keygen's support is the whole field, shuffled,
+so n = 2^m and n - k = m*t once the expansion has full rank;
+rank-deficient draws are thrown away and regenerated.
 
 Those binary rows are the field values bit-sliced over the support, so
 the decoder's root search reads them back: alpha^s times the m rows of
@@ -39,21 +39,54 @@ from .metering import tick_decode
 
 
 class GoppaCode:
-    """An irreducible binary Goppa code plus everything Patterson needs."""
+    """An irreducible binary Goppa code over g's field plus everything
+    Patterson needs.  BadParameters unless deg g >= 2, g is irreducible and
+    the support is distinct; ValueError for an element outside the field."""
 
-    def __init__(self, field: GF2m, g: Poly, support, h_matrix: BitMatrix):
+    def __init__(self, g: Poly, support):
+        field = g.field
+        support = tuple(support)
+        if len(set(support)) != len(support):
+            raise BadParameters("support elements must be distinct")
+        for x in support:
+            field._check(x)
+        if g.degree < 2:
+            raise BadParameters("Goppa polynomial must have degree at least 2")
+        if not _is_irreducible(g):
+            raise BadParameters("Goppa polynomial is not irreducible")
         self.field = field
         self.g = g
-        self.support = tuple(support)
-        self.h = h_matrix
+        self.support = support
         self.m = field.m
         self.t = g.degree
-        self.n = len(self.support)
+        self.n = len(support)
         self.n_minus_k = self.t * self.m
+        self.h = BitMatrix(self.n_minus_k, self.n, self._parity_check_rows())
         # sqrt(x) mod g, precomputed once for the decoder
         self._sqrt_x = sqrt_x_mod(g, field.m)
         self._all_positions = (1 << self.n) - 1
         self._root_table = self._alpha_multiples()
+
+    def _parity_check_rows(self) -> list[int]:
+        """H's m*t rows: the m bit planes of x_i^j / g(x_i) for each j."""
+        field, g, support, m = self.field, self.g, self.support, self.m
+        exp, log, q1 = field._exp, field._log, field.order - 1
+        # log x, with log 0 = 0 as a placeholder: the zero element is patched below
+        lx = [log[x] for x in support]
+        gx = [0] * len(support)
+        for c in reversed(g.coeffs):  # Horner's rule at every position at once
+            gx = [(exp[log[a] + l] if a else 0) ^ c for a, l in zip(gx, lx)]
+        zero = support.index(0) if 0 in support else None
+        if zero is not None:
+            gx[zero] = g[0]
+        lginv = [q1 - log[v] for v in gx]  # log of 1/g(x_i); g has no root
+        rows = []
+        for j in range(self.t):
+            values = [exp[(lg + j * l) % q1] for lg, l in zip(lginv, lx)]
+            if zero is not None and j:
+                values[zero] = 0
+            rows += transpose_bits(values, m)
+        return rows
 
     def _alpha_multiples(self) -> list[list[int]]:
         """The bit-sliced tables `root_mask` reads, m*n bits per entry.
@@ -79,34 +112,6 @@ class GoppaCode:
             table.append(entry)
         table.append([self._all_positions << (s * n) for s in range(m)])
         return table
-
-    @classmethod
-    def build(cls, field: GF2m, g: Poly, support) -> "GoppaCode":
-        support = tuple(support)
-        if len(set(support)) != len(support):
-            raise BadParameters("support elements must be distinct")
-        m, t = field.m, g.degree
-        exp, log, q1 = field._exp, field._log, field.order - 1
-        for x in support:
-            field._check(x)
-        # log x, with log 0 = 0 as a placeholder: the zero element is patched below
-        lx = [log[x] for x in support]
-        gx = [0] * len(support)
-        for c in reversed(g.coeffs):  # Horner's rule at every position at once
-            gx = [(exp[log[a] + l] if a else 0) ^ c for a, l in zip(gx, lx)]
-        zero = support.index(0) if 0 in support else None
-        if zero is not None:
-            gx[zero] = g[0]
-        if 0 in gx:
-            raise BadParameters("support contains a root of g")
-        lginv = [q1 - log[v] for v in gx]  # log of 1/g(x_i)
-        rows = []
-        for j in range(t):
-            values = [exp[(lg + j * l) % q1] for lg, l in zip(lginv, lx)]
-            if zero is not None and j:
-                values[zero] = 0
-            rows += transpose_bits(values, m)
-        return cls(field, g, support, BitMatrix(t * m, len(support), rows))
 
     def root_mask(self, sigma: Poly) -> int:
         """The support positions where sigma vanishes, as an n-bit int
@@ -166,13 +171,13 @@ def _random_monic_poly(field: GF2m, t: int, rng) -> Poly:
     return Poly(field, [rng.getrandbits(field.m) for _ in range(t)] + [1])
 
 
-def _is_irreducible(g: Poly, field: GF2m) -> bool:
+def _is_irreducible(g: Poly) -> bool:
     """Degree-t g is irreducible iff it has no factor of degree <= t/2;
     checked with gcd(x^(2^(m*i)) - x, g) for i = 1..t//2."""
-    x = Poly.x(field)
+    x = Poly.x(g.field)
     h = x
     for _ in range(g.degree // 2):
-        h = frobenius_mod(h, g, field.m)
+        h = frobenius_mod(h, g, g.field.m)
         if poly_gcd(h + x, g).degree != 0:
             return False
     return True
@@ -200,11 +205,12 @@ def goppa_keygen(m: int, t: int, rng) -> GoppaCode:
     field = GF2m(m)
     while True:
         g = _random_monic_poly(field, t, rng)
-        if not _is_irreducible(g, field):
+        # checked here too, so that a reducible g uses up no seeded shuffle
+        if not _is_irreducible(g):
             continue
         support = list(field.elements())
         rng.shuffle(support)
-        code = GoppaCode.build(field, g, support)
+        code = GoppaCode(g, support)
         if rank(code.h) == code.n_minus_k:
             return code
 
@@ -290,8 +296,6 @@ def decodable_census(code: GoppaCode) -> CensusReport:
     numbers agree exactly when the minimum distance is >= 2t+1 and the
     decoder is sound.  Disagreement is reported, never papered over.
     """
-    if code.t < 2:
-        raise BadParameters("census needs t >= 2")
     r = code.n_minus_k
     if r > CENSUS_LIMIT:
         raise CensusInfeasible(f"2^{r} syndromes is past the exhaustive limit")

@@ -11,10 +11,10 @@ public matrix of mcfsc) is recomputed rather than stored.  Which header
 fields a key file carries, whether it stores a scrambler and which counter
 field a signature has are read from the scheme's record in
 `schemes.SCHEMES`, and both loaders rebuild keys through that record.
-This module only parses: `Scheme.from_parts` and the public-key types
-decide what a valid key is, and a loader reports their BadParameters as
-KeyFormatError.  Its own KeyFormatError is for a line it cannot parse or
-does not read, or a stored m or t that disagrees with the key it built.
+This module only parses: `GoppaCode`, `Scheme.from_parts` and the
+public-key types decide what a valid key is, and a loader reports their
+BadParameters as KeyFormatError, its own being for a line it cannot parse
+or does not read, or a stored m or t at odds with the key it built.
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ def load_secret_key(path: str):
     """Returns (scheme, secret_key)."""
     with _parsing(path, KEY_MAGIC) as r:
         name, scheme, m, t, fields = r.key_header("secret")
-        field = GF2m(m)
-        g = Poly(field, _parse_field_elems(r.next("g")))
+        g = Poly(GF2m(m), _parse_field_elems(r.next("g")))
         if g.degree != t:
             raise KeyFormatError("stored t disagrees with the polynomial degree")
-        code = GoppaCode.build(field, g, _parse_field_elems(r.next("support")))
+        code = GoppaCode(g, _parse_field_elems(r.next("support")))
         if scheme.scrambled:
             fields["scrambler"] = r.matrix("S")
         perm = Permutation.from_text(" ".join(r.next("P")))

@@ -27,7 +27,7 @@ from .codehash import (
     syndrome_hash,
 )
 from .errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
-from .goppa import GoppaCode, _is_irreducible, check_parameters, goppa_keygen, patterson_decode
+from .goppa import GoppaCode, check_parameters, goppa_keygen, patterson_decode
 from .linalg import BitMatrix, BitVector, Permutation, inverse, mat_mul, mat_vec, rand_invertible
 
 # generic digests usable as the counter-scheme hash h; output width is a
@@ -296,13 +296,11 @@ class Scheme:
 
     def from_parts(self, code: GoppaCode, perm: Permutation, scrambler=None, **fields):
         """(sk, pk) from a code, a permutation P, S if the scheme scrambles,
-        and the header fields; BadParameters unless g is irreducible, S is
-        invertible (S^-1 is computed here) and the public-key type takes H_pub."""
+        and the header fields; BadParameters unless S is invertible (S^-1 is
+        computed here) and the public-key type takes H_pub."""
         if (scrambler is None) == self.scrambled:
             need = "needs" if self.scrambled else "takes no"
             raise BadParameters(f"{self.name} {need} scrambler")
-        if not _is_irreducible(code.g, code.field):
-            raise BadParameters("Goppa polynomial is not irreducible")
         h, s_inv = code.h, None
         if scrambler is not None:
             s_inv = inverse(scrambler)
@@ -316,9 +314,9 @@ class Scheme:
         """Draws the code, then S (if the scheme scrambles), then P: the RNG
         order every seeded key depends on."""
         code = goppa_keygen(m, t, rng)
-        s = rand_invertible(code.n_minus_k, rng)[:1] if self.scrambled else ()
+        s = rand_invertible(code.n_minus_k, rng) if self.scrambled else None
         perm = Permutation.random(code.n, rng)
-        return self.from_parts(code, perm, *s, **fields)
+        return self.from_parts(code, perm, s, **fields)
 
     def sign(self, msg: bytes, sk: SecretKey, rng, max_attempts: int = DEFAULT_ATTEMPT_CAP):
         """Decode the digest, unscrambled if the key has S, for each counter

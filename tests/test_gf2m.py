@@ -235,7 +235,7 @@ def irreducible_g(field, t, seed):
     rng = random.Random(seed)
     while True:
         g = _random_monic_poly(field, t, rng)
-        if _is_irreducible(g, field):
+        if _is_irreducible(g):
             return g
 
 
@@ -357,7 +357,7 @@ def product_of_linears(field, roots):
 def code_over(m, points, t):
     # an irreducible g of degree >= 2 has no root anywhere in the field
     field = GF2m(m)
-    return GoppaCode.build(field, irreducible_g(field, t, seed=60 + t), points)
+    return GoppaCode(irreducible_g(field, t, seed=60 + t), points)
 
 
 def mask_roots(f, points):

@@ -15,7 +15,7 @@ from cfslab.goppa import (
     patterson_decode,
 )
 from cfslab.linalg import BitVector, mat_vec, rank
-from oracles import kernel_basis
+from oracles import kernel_basis, rootless_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +65,22 @@ def test_keygen_rejects_bad_parameters():
 
 def test_build_rejects_bad_support():
     field = GF2m(4)
+    with pytest.raises(BadParameters, match="distinct"):
+        GoppaCode(rootless_quadratic(field), [0, 0, 1])  # duplicate support entries
     g = Poly(field, (1, 1, 1))  # x^2 + x + 1 has roots in GF(16): order-3 elements
-    with pytest.raises(BadParameters):
-        GoppaCode.build(field, g, [0, 0, 1])  # duplicate support entries
     root = next(a for a in range(16) if g.eval(a) == 0)
-    with pytest.raises(BadParameters):
-        GoppaCode.build(field, g, [root, 1, 0])
+    with pytest.raises(BadParameters, match="not irreducible"):
+        GoppaCode(g, [root, 1, 0])
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_build_rejects_reducible_g(m):
+    # q^2 has no root in the field, so only the irreducibility test sees it
+    field = GF2m(m)
+    q = rootless_quadratic(field)
+    with pytest.raises(BadParameters, match="not irreducible"):
+        GoppaCode(q * q, field.elements())
+    assert GoppaCode(q, field.elements()).t == 2
 
 
 def test_decode_zero_syndrome(code_t3):
@@ -98,7 +108,7 @@ def test_decode_random_round_trips(m, t):
     code = goppa_keygen(m, t, rng)
     # the same code under a Goppa polynomial that is not monic (a secret
     # key file can hold one): a scalar multiple of g
-    scaled = GoppaCode.build(code.field, code.g.scale(rng.randrange(2, 1 << m)), code.support)
+    scaled = GoppaCode(code.g.scale(rng.randrange(2, 1 << m)), code.support)
     n = code.n
     for _ in range(1000):
         wt = rng.randrange(0, t + 1)
@@ -138,14 +148,14 @@ def test_census_t3_exact(code_t3):
     assert report.t_factorial_approx == pytest.approx(1 / 6)
 
 
-def test_census_rejects_small_t(code_t2):
-    # hand-build a t=1 code object; the census refuses the degenerate bound
+def test_census_rejects_small_t():
+    # the constructor refuses a t=1 code, and a constant g, so no census sees one
     field = GF2m(4)
     g = Poly(field, (2, 1))  # x + alpha
     support = [a for a in range(16) if g.eval(a) != 0]
-    tiny = GoppaCode.build(field, g, support)
-    with pytest.raises(BadParameters):
-        decodable_census(tiny)
+    for low in (g, Poly.one(field)):
+        with pytest.raises(BadParameters, match="degree at least 2"):
+            GoppaCode(low, support)
 
 
 def test_census_rejects_infeasible_size():
@@ -228,8 +238,8 @@ def test_decode_support_subset_root_outside_support():
     elements = list(field.elements())
     random.Random(1101).shuffle(elements)
     subset, omitted = elements[:24], elements[24:]
-    full = GoppaCode.build(field, g, subset + omitted)
-    part = GoppaCode.build(field, g, subset)
+    full = GoppaCode(g, subset + omitted)
+    part = GoppaCode(g, subset)
     assert part.n == 24 and part.n_minus_k == full.n_minus_k
     rng = random.Random(1102)
     for _ in range(100):
@@ -258,11 +268,11 @@ def irreducible_code(m, t, seed, omit=0):
     field = GF2m(m)
     rng = random.Random(seed)
     g = _random_monic_poly(field, t, rng)
-    while not _is_irreducible(g, field):
+    while not _is_irreducible(g):
         g = _random_monic_poly(field, t, rng)
     support = list(field.elements())
     rng.shuffle(support)
-    return GoppaCode.build(field, g, support[: field.order - omit]), support[field.order - omit :]
+    return GoppaCode(g, support[: field.order - omit]), support[field.order - omit :]
 
 
 def per_bit_parity_check(code):
@@ -292,13 +302,30 @@ def test_build_rejects_support_outside_field():
     g = Poly(GF2m(4), (2, 1, 1))
     for bad in (16, -1):
         with pytest.raises(ValueError):
-            GoppaCode.build(GF2m(4), g, [1, bad])
+            GoppaCode(g, [1, bad])
 
 
 def test_build_empty_support():
-    code = GoppaCode.build(GF2m(4), Poly(GF2m(4), (2, 1, 1)), [])
+    code = GoppaCode(rootless_quadratic(GF2m(4)), [])
     assert (code.n, code.h.rows, code.h.cols) == (0, 8, 0)
     assert code.root_mask(Poly.zero(GF2m(4))) == 0
+
+
+@pytest.mark.parametrize("m,t", [(4, 2), (5, 3), (6, 4)])
+def test_decode_any_accepted_code_is_sound(m, t):
+    # a non-monic g on a strict subset of the field: any syndrome decodes to
+    # an e of weight <= t with H*e = s, or to None, and never raises
+    rng = random.Random(1200 + m)
+    part, _ = irreducible_code(m, t, 1300 + 31 * m + t, omit=3)
+    code = GoppaCode(part.g.scale(rng.randrange(2, 1 << m)), part.support)
+    decoded = 0
+    for _ in range(1000):
+        s = BitVector(code.n_minus_k, rng.getrandbits(code.n_minus_k))
+        e = patterson_decode(code, s)
+        if e is not None:
+            assert e.weight <= t and mat_vec(code.h, e) == s
+            decoded += 1
+    assert decoded
 
 
 def random_poly_of_degree(field, d, rng):
@@ -312,7 +339,7 @@ def test_root_mask_matches_eval_scan(m, t):
     code, _ = irreducible_code(m, t, 3000 + 31 * m + t)
     part, omitted = irreducible_code(m, t, 3000 + 31 * m + t, omit=2)
     rng = random.Random(3100 + m)
-    scaled = GoppaCode.build(code.field, code.g.scale(rng.randrange(2, 1 << m)), code.support)
+    scaled = GoppaCode(code.g.scale(rng.randrange(2, 1 << m)), code.support)
     reps = 3 if m > 9 else 12
     # every degree from the zero polynomial (-1) and a constant (0) up to t
     for d in range(-1, t + 1):
