@@ -41,7 +41,7 @@ from .metering import tick_decode
 class GoppaCode:
     """An irreducible binary Goppa code over g's field plus everything
     Patterson needs.  BadParameters unless deg g >= 2, g is irreducible and
-    the support is distinct; ValueError for an element outside the field."""
+    no support element repeats; ValueError for one outside the field."""
 
     def __init__(self, g: Poly, support):
         field = g.field
