@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from .codehash import registered
 from .errors import CfsLabError, KeyFormatError
 from .gf2m import GF2m, Poly
-from .goppa import GoppaCode
+from .goppa import GoppaCode, check_parameters
 from .linalg import BitMatrix, BitVector, Permutation
 from .schemes import SCHEMES, Scheme
 
@@ -144,6 +144,8 @@ def load_secret_key(path: str):
     """Returns (scheme, secret_key)."""
     with _parsing(path, KEY_MAGIC) as r:
         name, scheme, m, t, fields = r.key_header("secret")
+        # bounds t before GoppaCode's irreducibility test, which costs ~t^3
+        check_parameters(m, t)
         g = Poly(GF2m(m), _parse_field_elems(r.next("g")))
         if g.degree != t:
             raise KeyFormatError("stored t disagrees with the polynomial degree")

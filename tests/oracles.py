@@ -1,7 +1,9 @@
 """Plain constructions that the tests state facts with and `cfslab` itself
-never needs: vectors from bit strings, the transpose, permutation matrices,
-kernel bases and a quadratic with no root in the field."""
+never needs: vectors from bit strings, the transpose, the row-parity matrix
+product, permutation matrices, kernel bases and a quadratic with no root in
+the field."""
 
+from cfslab.errors import DimensionError
 from cfslab.gf2m import GF2m, Poly
 from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref
 
@@ -21,6 +23,17 @@ def from_bits(bits) -> BitVector:
 
 def transpose(mat: BitMatrix) -> BitMatrix:
     return BitMatrix(mat.cols, mat.rows, mat.columns())
+
+
+def mat_vec_rows(mat: BitMatrix, v: BitVector) -> BitVector:
+    """Reference for `mat_vec`: coordinate i is the parity of row i & v."""
+    if mat.cols != v.n:
+        raise DimensionError(f"{mat.cols}-column matrix times length-{v.n} vector")
+    bits = v.to_int()
+    acc = 0
+    for i in range(mat.rows):
+        acc |= ((mat.row(i).to_int() & bits).bit_count() & 1) << i
+    return BitVector(mat.rows, acc)
 
 
 def as_matrix(p: Permutation) -> BitMatrix:
