@@ -15,6 +15,9 @@ This module only parses: `GoppaCode`, `Scheme.from_parts` and the
 public-key types decide what a valid key is, and a loader reports their
 BadParameters as KeyFormatError, its own being for a line it cannot parse
 or does not read, or a stored m or t at odds with the key it built.
+The secret-key loader also runs `check_parameters` on the stored m and t
+before it builds anything, so a hostile t is refused before the
+irreducibility test, which costs ~t^3, can run on its g.
 """
 
 from __future__ import annotations

@@ -17,15 +17,15 @@ per bit.
 
 `mat_vec` reads a matrix through a table that its first product builds and
 caches on the matrix; nothing else builds one, so key set-up pays nothing.
-A matrix of at most 256 columns (every scrambler inverse S^-1, H_pub at
-m = 5) gets "four Russians" chunk tables (Arlazarov et al. 1970; M4RI):
+A matrix of at most 256 columns (every scrambler inverse S^-1, H and H_pub
+at m <= 8) gets "four Russians" chunk tables (Arlazarov et al. 1970; M4RI):
 entry b of table k is the XOR of the columns 8k + j for the set bits j of
 b, so a product is one XOR per byte of v.  Costs: ceil(cols/8) tables of
 256 ints of `rows` bits, ~0.2 MiB at 144 x 144.  A wider matrix (H and
 H_pub at m >= 9) gets its column list from `columns()`, and a product is
 one XOR per set bit of v, as cheap as the sparse error vectors and
-regular words it meets; at 144 x 65536 (m = 16) the list is ~3.3 MiB and
-takes ~0.13 s to build.
+regular words it meets.  The list takes ~0.4-1 ms to build at 40 x 1024;
+at 144 x 65536 (m = 16) it takes ~0.06-0.13 s and holds ~3.3 MiB.
 
 Everything is immutable after construction; operations return new values.
 The cached table is not part of a matrix's value: equality and hashing
@@ -326,7 +326,7 @@ def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
         raise DimensionError(f"{mat.cols}-column matrix times length-{v.n} vector")
     tick_matvec()
     table = mat._table
-    if table is None:
+    if table is None:  # threads that race here build equal tables; either may stay
         table = mat.columns()
         if mat.cols <= _CHUNKED_MAX_COLS:
             table = _chunk_tables(table)

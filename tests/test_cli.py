@@ -184,6 +184,8 @@ HOSTILE = {
     "pk-t-disagrees-with-H": ("verify", "pk", b"\nt 3", b"\nt 9"),
     # an m=1 key with a matching 2x2 H; the original matrix trails unread
     "pk-m-1": ("verify", "pk", b"\nm 4\nt 3\nw 2\n", b"\nm 1\nt 2\nw 1\nH 2 2\n80\n40\n"),
+    # 797 more coefficients raise g to degree 800: refused on m*t >= 2^m
+    "sk-t-800": ("sign", "sk", b"\nt 3\nw 2\ng ", b"\nt 800\nw 2\ng " + b"1 " * 797),
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from cfslab.attacks import forge_mcfsc
 from cfslab.cli import run
+from cfslab import goppa
 from cfslab.errors import KeyFormatError
 from cfslab.gf2m import GF2m
 from cfslab.goppa import goppa_keygen
@@ -154,6 +155,27 @@ def test_reducible_goppa_polynomial_rejected(tmp_path, capsys):
     argv = ["sign", "--sk", str(tmp_path / "sk"), "--msg-hex", "00", "--sig", str(tmp_path / "sig")]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oversized_t_refused_before_the_irreducibility_test(tmp_path, monkeypatch):
+    # m 4 with a g of degree 800: m*t >= 2^m must be refused from the
+    # header, before the ~t^3 irreducibility test could start on g
+    sk, _ = cfs_keygen(4, 3, random.Random(5))
+    save_secret_key(sk, "cfs", tmp_path / "sk")
+    g_line = "g " + " ".join(["1"] * 801)
+    lines = (tmp_path / "sk").read_text().splitlines()
+    lines = [g_line if ln.startswith("g ") else "t 800" if ln == "t 3" else ln for ln in lines]
+    (tmp_path / "sk").write_text("\n".join(lines) + "\n")
+    calls = []
+
+    def counting(g):
+        calls.append(g.degree)
+        raise AssertionError("irreducibility test reached")
+
+    monkeypatch.setattr(goppa, "_is_irreducible", counting)
+    with pytest.raises(KeyFormatError, match="leaves no code dimension"):
+        load_secret_key(tmp_path / "sk")
+    assert calls == []
 
 
 def _replace(old, new):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cfslab.errors import DimensionError
+from cfslab.keyfiles import load_public_key, load_secret_key, save_public_key, save_secret_key
 from cfslab.linalg import (
     BitMatrix,
     BitVector,
@@ -14,7 +15,9 @@ from cfslab.linalg import (
     rank,
     transpose_bits,
 )
-from oracles import as_matrix, from_bits, kernel_basis, transpose
+from cfslab.metering import count_operations
+from cfslab.schemes import cfs_keygen
+from oracles import as_matrix, from_bits, kernel_basis, mat_vec_rows, transpose
 
 
 def random_matrix(r, c, rng):
@@ -217,3 +220,124 @@ def test_apply_matches_per_bit(n):
         sparse = BitVector.from_indices(n, rng.sample(range(n), min(n, 4)))
         for v in (BitVector.zeros(n), sparse, random_vector(n, rng), BitVector(n, (1 << n) - 1)):
             assert p.apply(v) == apply_per_bit(p, v)
+
+
+# --- mat_vec's cached tables, against the row-parity loop ---------------------
+
+ROWS = [0, 1, 15, 40, 144]
+# 256 is the widest matrix read through byte-chunk tables
+COLS = [0, 1, 7, 8, 9, 255, 256, 257, 1024]
+
+
+def vectors(n, rng):
+    """Zero, weight-4 (a weight-t error), dense and all-ones vectors of length n."""
+    return [
+        BitVector.zeros(n),
+        BitVector.from_indices(n, rng.sample(range(n), min(n, 4))),
+        random_vector(n, rng),
+        BitVector(n, (1 << n) - 1),
+    ]
+
+
+def assert_products_match(mat, rng):
+    """Every single-bit product is a column, and the other vectors agree
+    with the row-parity loop."""
+    cols = mat.columns()
+    for j in range(mat.cols):
+        assert mat_vec(mat, BitVector(mat.cols, 1 << j)).to_int() == cols[j]
+    for v in vectors(mat.cols, rng):
+        assert mat_vec(mat, v) == mat_vec_rows(mat, v)
+
+
+@pytest.mark.parametrize("cols", COLS)
+@pytest.mark.parametrize("rows", ROWS)
+def test_mat_vec_matches_row_parity(rows, cols):
+    rng = random.Random(rows * 4099 + cols)
+    mat = random_matrix(rows, cols, rng)
+    assert_products_match(mat, rng)
+    assert_products_match(mat, rng)  # through the cached table
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 40, 144, 257])
+def test_mat_vec_matches_row_parity_on_built_matrices(n):
+    rng = random.Random(n)
+    s = rand_invertible(n, rng)
+    a, b = random_matrix(n, 2 * n, rng), random_matrix(2 * n, n + 3, rng)
+    p = Permutation.random(2 * n, rng)
+    for mat in (BitMatrix.identity(n), s, inverse(s), mat_mul(a, b), p.permute_columns(a)):
+        assert_products_match(mat, rng)
+
+
+@pytest.mark.parametrize("m,t", [(5, 3), (9, 2)])
+def test_mat_vec_matches_row_parity_on_loaded_keys(tmp_path, m, t):
+    rng = random.Random(m)
+    sk, pk = cfs_keygen(m, t, rng)
+    save_public_key(pk, "cfs", tmp_path / "pk")
+    _, loaded = load_public_key(tmp_path / "pk")
+    for mat in (loaded.h_pub, sk.code.h, sk.scrambler_inv):
+        assert_products_match(mat, rng)
+
+
+@pytest.mark.parametrize("rows,cols", [(15, 32), (40, 40), (40, 1024), (144, 257)])
+def test_each_matrix_keeps_its_own_table(rows, cols):
+    rng = random.Random(rows + cols)
+    a, b = random_matrix(rows, cols, rng), random_matrix(rows, cols, rng)
+    for v in vectors(cols, rng):
+        # products of two matrices of one shape, interleaved
+        for mat in (a, b, a, b):
+            assert mat_vec(mat, v) == mat_vec_rows(mat, v)
+
+
+# --- mat_vec's invariants ----------------------------------------------------
+
+
+@pytest.mark.parametrize("cols", [40, 1024])
+def test_mat_vec_ticks_once_per_call(cols):
+    rng = random.Random(cols)
+    mat = random_matrix(40, cols, rng)
+    for k in range(1, 4):  # the first call builds the table; no extra tick
+        with count_operations() as ops:
+            mat_vec(mat, random_vector(cols, rng))
+        assert ops.as_dict() == {"compressions": 0, "matvecs": 1, "decode_calls": 0}
+
+
+@pytest.mark.parametrize("cols", [40, 1024])
+def test_mat_vec_width_mismatch_raises_before_and_after_the_table(cols):
+    mat = random_matrix(40, cols, random.Random(cols))
+    for _ in range(2):
+        with count_operations() as ops:
+            with pytest.raises(DimensionError):
+                mat_vec(mat, BitVector.zeros(cols + 1))
+        assert ops.matvecs == 0
+        mat_vec(mat, BitVector.zeros(cols))
+
+
+@pytest.mark.parametrize("cols", [40, 1024])
+def test_equal_matrices_stay_equal_after_a_product(cols):
+    rng = random.Random(cols)
+    a = random_matrix(40, cols, rng)
+    b = BitMatrix(a.rows, a.cols, [a.row(i).to_int() for i in range(a.rows)])
+    mat_vec(a, random_vector(cols, rng))
+    assert a == b and b == a and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    mat_vec(b, random_vector(cols, rng))
+    assert a == b and hash(a) == hash(b)
+
+
+def test_bit_matrix_stays_immutable():
+    mat = random_matrix(4, 9, random.Random(1))
+    mat_vec(mat, BitVector.zeros(9))
+    for attr in ("rows", "cols", "_rows", "_table", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(mat, attr, None)
+
+
+def test_key_set_up_builds_no_table(tmp_path):
+    # tables are built by the first product, never by keygen or a key load
+    sk, pk = cfs_keygen(5, 3, random.Random(2))
+    save_secret_key(sk, "cfs", tmp_path / "sk")
+    save_public_key(pk, "cfs", tmp_path / "pk")
+    (_, sk2), (_, pk2) = load_secret_key(tmp_path / "sk"), load_public_key(tmp_path / "pk")
+    for key, public in ((sk, pk), (sk2, pk2)):
+        for mat in (key.code.h, key.scrambler, key.scrambler_inv, public.h_pub):
+            assert mat._table is None

@@ -41,6 +41,7 @@ PINNED = sorted({**_spans.SPANNED, **_spans.COUNTED}.keys() | WORKLOAD_CALLS)
 
 def test_pinned_names_are_read():
     assert ("goppa", "patterson_decode") in PINNED and ("gf2m", "Poly.eval") in PINNED
+    assert ("linalg", "mat_vec") in PINNED
     assert {("schemes", "cfs_keygen"), ("metering", "count_operations")} <= WORKLOAD_CALLS
 
 
