@@ -32,6 +32,11 @@ arithmetic and `frobenius_mod` index the exp/log tables directly and build
 their results with an unchecked constructor.  Root finding is not here: the
 decoder reads a locator's roots off the code's bit-sliced parity-check rows
 (`goppa.GoppaCode.root_mask`).
+
+`sliced_mul`, `sliced_square` and `sliced_inv` compute on bit planes, one
+field element per position of an n-bit int, and build those rows
+(`goppa.GoppaCode`): the cost is a few hundred big-int ANDs and XORs,
+whatever n is, where the exp/log tables would take one lookup per position.
 """
 
 from __future__ import annotations
@@ -82,6 +87,65 @@ def _tables(m: int) -> tuple[tuple[int, ...], ...]:
     for k in range(order - 1):
         sq[exp[2 * k]] = exp[k]
     return tuple(exp), tuple(log), tuple(sq)
+
+
+# Bit-sliced arithmetic: a field element at each of n positions, held as m
+# "bit planes", plane b an n-bit int whose bit i is bit b of the element at
+# position i.  One AND or XOR of two planes then acts on every position at
+# once (McBits, Bernstein, Chou & Schwabe, CHES 2013).  Positions are
+# independent, so a 0 somewhere stays 0 through the inverse below.
+
+
+@cache
+def _square_map(m: int) -> tuple[tuple[int, ...], ...]:
+    """Squaring as a linear map of the planes, built once per m: entry c
+    lists the input planes b whose x^(2b) mod the modulus has bit c set."""
+    exp = _tables(m)[0]  # x generates the field, so exp[k] = x^k mod the modulus
+    return tuple(tuple(b for b in range(m) if exp[2 * b] >> c & 1) for c in range(m))
+
+
+def sliced_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    """The planes of a*b at every position: the m^2 plane products of the
+    schoolbook rule, then x^k for k >= m folded back by the modulus."""
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] ^= ai & bj
+    low = [d for d in range(m) if _REDUCTION[m] >> d & 1]  # x^m = sum of these x^d
+    for k in range(2 * m - 2, m - 1, -1):
+        top = prod[k]
+        if top:
+            for d in low:
+                prod[k - m + d] ^= top
+    return prod[:m]
+
+
+def sliced_square(a: list[int], m: int) -> list[int]:
+    out = []
+    for sources in _square_map(m):
+        acc = 0
+        for b in sources:
+            acc ^= a[b]
+        out.append(acc)
+    return out
+
+
+def sliced_inv(a: list[int], m: int) -> list[int]:
+    """The planes of a^(2^m - 2): 1/a at every nonzero position and 0 at a
+    zero one.  Itoh-Tsujii: with beta_k = a^(2^k - 1), beta_(2k) is
+    beta_k^(2^k) * beta_k and beta_(k+1) is beta_k^2 * a; walking the bits
+    of m - 1 from the top reaches beta_(m-1) in under 2 log2(m) multiplies,
+    and its square is the inverse."""
+    beta, k = a, 1
+    for bit in bin(m - 1)[3:]:
+        high = beta
+        for _ in range(k):
+            high = sliced_square(high, m)
+        beta, k = sliced_mul(high, beta, m), 2 * k
+        if bit == "1":
+            beta, k = sliced_mul(sliced_square(beta, m), a, m), k + 1
+    return sliced_square(beta, m)
 
 
 class GF2m:

@@ -4,17 +4,21 @@ an exhaustive decodability census.
 `GoppaCode(g, support)`, the only way to make a code, checks both and
 builds the parity-check matrix over GF(2^m), rows x_i^j / g(x_i) for
 j = 0..t-1, expanded bitwise to GF(2) (bit b of a field element lands in
-binary row j*m + b): each j-block is one `linalg.transpose_bits` of its n
-field values into m rows.  Keygen's support is the whole field, shuffled,
-so n = 2^m and n - k = m*t once the expansion has full rank;
-rank-deficient draws are thrown away and regenerated.
+binary row j*m + b).  Those binary rows are the field values bit-sliced
+over the support, and the build computes them that way: the support is
+transposed once into m bit planes X (`linalg.transpose_bits`), g(X) is
+Horner's rule in bit-sliced multiplies, 1/g(X) an Itoh-Tsujii power and
+each block X times the one before (`gf2m.sliced_mul`, `sliced_inv`), so
+H costs about 2t + 2 log2(m) multiplies of m^2 big-int ANDs, whatever n
+is.  Keygen's support is the whole field, shuffled, so n = 2^m and
+n - k = m*t once the expansion has full rank; rank-deficient draws are
+thrown away and regenerated.
 
-Those binary rows are the field values bit-sliced over the support, so
-the decoder's root search reads them back: alpha^s times the m rows of
-block j, for every s < m, is precomputed once per code, and a locator's
-value at every support position is then a handful of big-int XORs
-(`GoppaCode.root_mask`, after McBits' bit-sliced root search).  The table
-holds m*t entries of m*n bits, 18 MiB at m=16, t=9.
+The decoder's root search reads the same planes back: alpha^s times the
+m rows of block j, for every s < m, is precomputed once per code, and a
+locator's value at every support position is then a handful of big-int
+XORs (`GoppaCode.root_mask`, after McBits' bit-sliced root search).  The
+table holds m*t entries of m*n bits, 18 MiB at m=16, t=9.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .gf2m import (
     poly_gcd,
     poly_mod_inv,
     poly_sqrt_mod_g,
+    sliced_inv,
+    sliced_mul,
     sqrt_x_mod,
 )
 from .linalg import BitMatrix, BitVector, mat_vec, rank, transpose_bits
@@ -61,31 +67,32 @@ class GoppaCode:
         self.t = g.degree
         self.n = len(support)
         self.n_minus_k = self.t * self.m
+        self._all_positions = (1 << self.n) - 1
         self.h = BitMatrix(self.n_minus_k, self.n, self._parity_check_rows())
         # sqrt(x) mod g, precomputed once for the decoder
         self._sqrt_x = sqrt_x_mod(g, field.m)
-        self._all_positions = (1 << self.n) - 1
         self._root_table = self._alpha_multiples()
 
     def _parity_check_rows(self) -> list[int]:
-        """H's m*t rows: the m bit planes of x_i^j / g(x_i) for each j."""
-        field, g, support, m = self.field, self.g, self.support, self.m
-        exp, log, q1 = field._exp, field._log, field.order - 1
-        # log x, with log 0 = 0 as a placeholder: the zero element is patched below
-        lx = [log[x] for x in support]
-        gx = [0] * len(support)
-        for c in reversed(g.coeffs):  # Horner's rule at every position at once
-            gx = [(exp[log[a] + l] if a else 0) ^ c for a, l in zip(gx, lx)]
-        zero = support.index(0) if 0 in support else None
-        if zero is not None:
-            gx[zero] = g[0]
-        lginv = [q1 - log[v] for v in gx]  # log of 1/g(x_i); g has no root
-        rows = []
-        for j in range(self.t):
-            values = [exp[(lg + j * l) % q1] for lg, l in zip(lginv, lx)]
-            if zero is not None and j:
-                values[zero] = 0
-            rows += transpose_bits(values, m)
+        """H's m*t rows: the m bit planes of Y_j = x_i^j / g(x_i) for each j,
+        computed at every support position at once on the planes X of the
+        support.  g(X) by Horner, 1/g(X) by Itoh-Tsujii, Y_j = X * Y_(j-1).
+        At the zero element every X plane is 0, so Y_0 = 1/g_0 there and
+        Y_j = 0 for j >= 1, as x^j / g(x) is."""
+        m = self.m
+        x = transpose_bits(self.support, m)
+        ones = self._all_positions
+        gx = [0] * m
+        for c in reversed(self.g.coeffs):
+            gx = sliced_mul(gx, x, m)
+            for b in range(m):
+                if c >> b & 1:
+                    gx[b] ^= ones
+        y = sliced_inv(gx, m)  # g has no root in the field, so gx is nowhere 0
+        rows = list(y)
+        for _ in range(1, self.t):
+            y = sliced_mul(x, y, m)
+            rows += y
         return rows
 
     def _alpha_multiples(self) -> list[list[int]]:
@@ -101,14 +108,19 @@ class GoppaCode:
         m, n, t = self.m, self.n, self.t
         rows = self.h._rows
         low = (1 << ((m - 1) * n)) - 1
-        reduce_by = sum(1 << (b * n) for b in range(m) if (self.field.modulus >> b) & 1)
+        # the offsets of the planes x^m folds into: a few shifts, where a
+        # multiply by the packed modulus would cost a long-int product
+        fold = [b * n for b in range(m) if (self.field.modulus >> b) & 1]
         table = []
         for j in range(t):
             y = sum(rows[j * m + b] << (b * n) for b in range(m))
-            entry = []
-            for _ in range(m):
+            entry = [y]
+            for _ in range(m - 1):
+                top = y >> ((m - 1) * n)
+                y = (y & low) << n
+                for shift in fold:
+                    y ^= top << shift
                 entry.append(y)
-                y = ((y & low) << n) ^ (y >> ((m - 1) * n)) * reduce_by
             table.append(entry)
         table.append([self._all_positions << (s * n) for s in range(m)])
         return table

@@ -15,21 +15,29 @@ and reads each output row as one strided slice turned into a binary
 numeral, so columns, column permutations and the Goppa build never loop
 per bit.
 
-`mat_vec` reads a matrix through a table that its first product builds and
-caches on the matrix; nothing else builds one, so key set-up pays nothing.
-A matrix of at most 256 columns (every scrambler inverse S^-1, H and H_pub
-at m <= 8) gets "four Russians" chunk tables (Arlazarov et al. 1970; M4RI):
-entry b of table k is the XOR of the columns 8k + j for the set bits j of
-b, so a product is one XOR per byte of v.  Costs: ceil(cols/8) tables of
-256 ints of `rows` bits, ~0.2 MiB at 144 x 144.  A wider matrix (H and
-H_pub at m >= 9) gets its column list from `columns()`, and a product is
-one XOR per set bit of v, as cheap as the sparse error vectors and
-regular words it meets.  The list takes ~0.4-1 ms to build at 40 x 1024;
-at 144 x 65536 (m = 16) it takes ~0.06-0.13 s and holds ~3.3 MiB.
+A matrix's columns are computed once: `columns()` transposes on its first
+call and keeps the tuple, and `permute_columns` hands its result the
+columns it picked, so H_pub arrives with its list already built.
+`mat_vec` and `codehash.HashConfig` read that same tuple.  A column list
+costs ~0.4-1 ms to transpose at 40 x 1024 and ~0.06-0.13 s at 144 x 65536
+(m = 16), where it holds ~3.3 MiB.
+
+`mat_vec` reads a matrix through a table: a matrix of at most 256 columns
+(every scrambler inverse S^-1, H and H_pub at m <= 8) gets "four
+Russians" chunk tables (Arlazarov et al. 1970; M4RI), built by its first
+product and cached on the matrix: entry b of table k is the XOR of the
+columns 8k + j for the set bits j of b, so a product is one XOR per byte
+of v.  Costs: ceil(cols/8) tables of 256 ints of `rows` bits, ~0.2 MiB at
+144 x 144.  A wider matrix (H and H_pub at m >= 9) is read through its
+column list, and a product is one XOR per set bit of v, as cheap as the
+sparse error vectors and regular words it meets.
+
+`Permutation(mapping)` checks the mapping and builds its inverse in one
+pass, one write per entry.
 
 Everything is immutable after construction; operations return new values.
-The cached table is not part of a matrix's value: equality and hashing
-ignore it.
+The cached columns and tables are not part of a matrix's value: equality
+and hashing ignore them.
 """
 
 from __future__ import annotations
@@ -174,7 +182,7 @@ def _bitvector(n: int, bits: int) -> BitVector:
 class BitMatrix:
     """r x c matrix over GF(2), rows packed as integers."""
 
-    __slots__ = ("rows", "cols", "_rows", "_table")
+    __slots__ = ("rows", "cols", "_rows", "_columns", "_table")
 
     def __init__(self, rows: int, cols: int, row_ints=None):
         if rows < 0 or cols < 0:
@@ -190,7 +198,8 @@ class BitMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_rows", row_ints)
-        object.__setattr__(self, "_table", None)  # mat_vec's, built on first use
+        object.__setattr__(self, "_columns", None)  # columns(), built on first use
+        object.__setattr__(self, "_table", None)  # mat_vec's chunk tables, likewise
 
     def __setattr__(self, *_):
         raise AttributeError("BitMatrix is immutable")
@@ -202,9 +211,15 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self._rows[i])
 
-    def columns(self) -> list[int]:
-        """Every column packed as an int: bit i of entry j is row i, column j."""
-        return transpose_bits(self._rows, self.cols)
+    def columns(self) -> tuple[int, ...]:
+        """Every column packed as an int: bit i of entry j is row i, column j.
+        Transposed on the first call and kept; threads that race here build
+        equal tuples, and either may stay."""
+        cols = self._columns
+        if cols is None:
+            cols = tuple(transpose_bits(self._rows, self.cols))
+            _set_columns(self, cols)
+        return cols
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -237,11 +252,21 @@ class Permutation:
 
     def __init__(self, mapping):
         mapping = tuple(mapping)
-        if sorted(mapping) != list(range(len(mapping))):
+        n = len(mapping)
+        # _inverse[src] is the target coordinate that source src feeds.  The
+        # n writes fill all n slots only if no source repeats; a negative
+        # source would index from the end, so the sources' minimum is checked
+        inv = [-1] * n
+        try:
+            for j, src in zip(range(n), mapping):
+                inv[src] = j
+            bijective = n == 0 or min(inv) >= 0 and min(mapping) >= 0
+        except (IndexError, TypeError):  # past the end, or not an integer
+            bijective = False
+        if not bijective:
             raise ValueError("mapping is not a bijection on 0..n-1")
         object.__setattr__(self, "mapping", mapping)
-        # _inverse[src] is the target coordinate that source src feeds
-        object.__setattr__(self, "_inverse", sorted(range(len(mapping)), key=mapping.__getitem__))
+        object.__setattr__(self, "_inverse", inv)
 
     def __setattr__(self, *_):
         raise AttributeError("Permutation is immutable")
@@ -274,12 +299,14 @@ class Permutation:
         return BitVector(self.n, acc)
 
     def permute_columns(self, mat: BitMatrix) -> BitMatrix:
-        """H * P: column j of the result is column mapping[j] of H."""
+        """H * P: column j of the result is column mapping[j] of H.  The
+        result keeps the columns it was built from as its `columns()`."""
         if mat.cols != self.n:
             raise DimensionError("column count mismatch in permutation")
-        cols = mat.columns()
-        picked = [cols[src] for src in self.mapping]
-        return BitMatrix(mat.rows, mat.cols, transpose_bits(picked, mat.rows))
+        picked = tuple(map(mat.columns().__getitem__, self.mapping))
+        out = BitMatrix(mat.rows, mat.cols, transpose_bits(picked, mat.rows))
+        _set_columns(out, picked)
+        return out
 
     def inverse(self) -> "Permutation":
         return Permutation(self._inverse)
@@ -304,6 +331,7 @@ class Permutation:
 # widest matrix that mat_vec reads through byte-chunk tables
 _CHUNKED_MAX_COLS = 256
 
+_set_columns = BitMatrix._columns.__set__
 _set_table = BitMatrix._table.__set__
 
 
@@ -325,21 +353,20 @@ def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
     if mat.cols != v.n:
         raise DimensionError(f"{mat.cols}-column matrix times length-{v.n} vector")
     tick_matvec()
-    table = mat._table
-    if table is None:  # threads that race here build equal tables; either may stay
-        table = mat.columns()
-        if mat.cols <= _CHUNKED_MAX_COLS:
-            table = _chunk_tables(table)
-        _set_table(mat, table)
     bits = v._bits
     acc = 0
     if mat.cols <= _CHUNKED_MAX_COLS:
+        table = mat._table
+        if table is None:  # threads that race here build equal tables; either may stay
+            table = _chunk_tables(mat.columns())
+            _set_table(mat, table)
         for chunk, byte in zip(table, bits.to_bytes(len(table), "little")):
             acc ^= chunk[byte]
     else:
+        cols = mat.columns()
         while bits:
             low = bits & -bits
-            acc ^= table[low.bit_length() - 1]
+            acc ^= cols[low.bit_length() - 1]
             bits ^= low
     return _bitvector(mat.rows, acc)
 

@@ -1,11 +1,11 @@
 """Plain constructions that the tests state facts with and `cfslab` itself
 never needs: vectors from bit strings, the transpose, the row-parity matrix
-product, permutation matrices, kernel bases and a quadratic with no root in
-the field."""
+product, the per-position Goppa parity-check build, permutation matrices,
+kernel bases and a quadratic with no root in the field."""
 
 from cfslab.errors import DimensionError
 from cfslab.gf2m import GF2m, Poly
-from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref
+from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref, transpose_bits
 
 
 def from_bits(bits) -> BitVector:
@@ -34,6 +34,30 @@ def mat_vec_rows(mat: BitMatrix, v: BitVector) -> BitVector:
     for i in range(mat.rows):
         acc |= ((mat.row(i).to_int() & bits).bit_count() & 1) << i
     return BitVector(mat.rows, acc)
+
+
+def parity_check_rows(g: Poly, support) -> list[int]:
+    """Reference for `GoppaCode(g, support).h`: x_i^j / g(x_i) one support
+    position at a time on the exp/log tables, each j-block of n values
+    transposed into its m rows."""
+    field, m, t = g.field, g.field.m, g.degree
+    exp, log, q1 = field._exp, field._log, field.order - 1
+    # log x, with log 0 = 0 as a placeholder: the zero element is patched below
+    lx = [log[x] for x in support]
+    gx = [0] * len(support)
+    for c in reversed(g.coeffs):  # Horner's rule at every position
+        gx = [(exp[log[a] + l] if a else 0) ^ c for a, l in zip(gx, lx)]
+    zero = support.index(0) if 0 in support else None
+    if zero is not None:
+        gx[zero] = g[0]
+    lginv = [q1 - log[v] for v in gx]  # log of 1/g(x_i); g has no root
+    rows = []
+    for j in range(t):
+        values = [exp[(lg + j * l) % q1] for lg, l in zip(lginv, lx)]
+        if zero is not None and j:
+            values[zero] = 0
+        rows += transpose_bits(values, m)
+    return rows
 
 
 def as_matrix(p: Permutation) -> BitMatrix:

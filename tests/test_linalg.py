@@ -199,7 +199,7 @@ def test_transpose_bits_matches_per_bit(width, count):
     assert rows == transpose_per_bit(values, width)
     assert transpose_bits(rows, count) == values  # transposing twice
     m = BitMatrix(count, width, values)
-    assert m.columns() == rows
+    assert m.columns() == tuple(rows)
     assert transpose(m) == BitMatrix(width, count, rows)
 
 
