@@ -1,8 +1,14 @@
-"""Polynomial arithmetic over GF(2^m) at the sizes Patterson decoding uses.
+"""Polynomial arithmetic over GF(2^m) at the sizes Patterson decoding uses,
+and the key set-up built on it.
 
 Operands come from the code a seeded keygen draws: g is its Goppa
 polynomial, f a random polynomial of degree < t.  The two sizes are the
 census workload's m=5,t=3 and the retry signer's m=10 range at t=6.
+
+Set-up is timed whole (`goppa_keygen`, a cfs `load_secret_key` at m=10)
+and in its code build alone: `GoppaCode(g, support)` at m=10,t=6 and at
+m=16,t=9, where the bit-sliced parity-check build and the root table
+cover 65536 support positions.
 """
 
 import random
@@ -16,7 +22,9 @@ from cfslab.gf2m import (
     poly_mod_inv,
     poly_sqrt_mod_g,
 )
-from cfslab.goppa import goppa_keygen
+from cfslab.goppa import GoppaCode, goppa_keygen
+from cfslab.keyfiles import load_secret_key, save_secret_key
+from cfslab.schemes import cfs_keygen
 
 PARAMS = [(5, 3), (10, 6)]
 IDS = [f"m{m}t{t}" for m, t in PARAMS]
@@ -80,3 +88,20 @@ def test_goppa_keygen_10_6(benchmark):
     benchmark.group = "goppa_keygen m=10,t=6"
     code = benchmark(lambda: goppa_keygen(10, 6, random.Random(3)))
     assert code.n_minus_k == 60
+
+
+@pytest.mark.parametrize("m,t", [(10, 6), (16, 9)], ids=["m10t6", "m16t9"])
+def test_goppa_code(benchmark, m, t):
+    code = goppa_keygen(m, t, random.Random(4))
+    benchmark.group = f"GoppaCode(g, support) m={m},t={t}"
+    built = benchmark.pedantic(GoppaCode, (code.g, code.support), rounds=5 if m > 12 else 30)
+    assert built.h == code.h
+
+
+def test_load_secret_key_10_4(benchmark, tmp_path):
+    sk, _ = cfs_keygen(10, 4, random.Random(5))
+    path = tmp_path / "cfs.sk"
+    save_secret_key(sk, "cfs", path)
+    benchmark.group = "load_secret_key cfs m=10,t=4"
+    _, loaded = benchmark(load_secret_key, path)
+    assert loaded.code.h == sk.code.h and loaded.pk == sk.pk

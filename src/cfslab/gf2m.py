@@ -122,6 +122,8 @@ def sliced_mul(a: list[int], b: list[int], m: int) -> list[int]:
 
 
 def sliced_square(a: list[int], m: int) -> list[int]:
+    """The planes of a^2: squaring is GF(2)-linear, so each output plane is
+    the XOR of the input planes `_square_map` lists for it."""
     out = []
     for sources in _square_map(m):
         acc = 0

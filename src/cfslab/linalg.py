@@ -349,7 +349,7 @@ def _chunk_tables(cols: list[int]) -> list[list[int]]:
 
 def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
     """H * v^T as a length-rows(H) vector: the XOR of the columns that v
-    selects, read through the matrix's cached table."""
+    selects, read through the matrix's cached chunk tables or columns."""
     if mat.cols != v.n:
         raise DimensionError(f"{mat.cols}-column matrix times length-{v.n} vector")
     tick_matvec()

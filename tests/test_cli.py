@@ -175,6 +175,9 @@ HOSTILE = {
     "sk-m-99": ("sign", "sk", b"\nm 4", b"\nm 99"),
     "pk-m-99": ("verify", "pk", b"\nm 4", b"\nm 99"),
     "sk-P-not-bijective": ("sign", "sk", b"\nP ", b"\nP 0 0 "),
+    "sk-P-negative": ("sign", "sk", b"\nP ", b"\nP -1 "),
+    "sk-P-past-the-end": ("sign", "sk", b"\nP ", b"\nP 16 "),
+    "sk-P-not-int": ("sign", "sk", b"\nP ", b"\nP 1.5 "),
     "pk-not-utf8": ("verify", "pk", b"cfslab-key v1\n", b"cfslab-key v1\n\xff\xfe\n"),
     "sig-not-utf8": ("verify", "sig", b"\nscheme", b"\n\xc3\x28scheme"),
     "sk-t-not-int": ("sign", "sk", b"\nt 3", b"\nt three"),

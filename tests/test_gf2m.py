@@ -12,10 +12,13 @@ from cfslab.gf2m import (
     poly_gcd,
     poly_mod_inv,
     poly_sqrt_mod_g,
+    sliced_inv,
+    sliced_mul,
+    sliced_square,
     sqrt_x_mod,
 )
 from cfslab.goppa import GoppaCode
-from cfslab.linalg import BitVector
+from cfslab.linalg import BitVector, transpose_bits
 
 
 F16 = GF2m(4)
@@ -436,3 +439,39 @@ def test_poly_roots_root_outside_points():
     f = product_of_linears(F16, (2, 4, 8))
     points = [a for a in range(16) if a != 4]
     assert mask_roots(f, points) == brute_roots(f, points) == [2, 7]
+
+
+# --- bit-sliced arithmetic against the exp/log tables --------------------------
+# transpose_bits(values, m) gives the m planes of the values, and
+# transpose_bits(planes, n) the n values back
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_sliced_mul_matches_table_mul_on_every_pair(m):
+    field = GF2m(m)
+    pairs = [(a, b) for a in field.elements() for b in field.elements()]
+    a = transpose_bits([a for a, _ in pairs], m)
+    b = transpose_bits([b for _, b in pairs], m)
+    assert transpose_bits(sliced_mul(a, b, m), len(pairs)) == [field.mul(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_sliced_square_and_inverse_match_the_tables_on_every_element(m):
+    field = GF2m(m)
+    elements = list(field.elements())
+    a = transpose_bits(elements, m)
+    assert transpose_bits(sliced_square(a, m), field.order) == [field.mul(x, x) for x in elements]
+    # zero has no inverse; a^(2^m - 2) leaves it 0
+    inverses = [0] + [field.inv(x) for x in elements[1:]]
+    assert transpose_bits(sliced_inv(a, m), field.order) == inverses
+
+
+@pytest.mark.parametrize("m", [9, 12, 16])
+def test_sliced_arithmetic_on_random_elements(m):
+    field = GF2m(m)
+    rng = random.Random(m)
+    xs = [rng.randrange(field.order) for _ in range(300)] + [0, 1, field.order - 1]
+    ys = [rng.randrange(field.order) for _ in xs]
+    a, b = transpose_bits(xs, m), transpose_bits(ys, m)
+    assert transpose_bits(sliced_mul(a, b, m), len(xs)) == [field.mul(x, y) for x, y in zip(xs, ys)]
+    assert transpose_bits(sliced_inv(a, m), len(xs)) == [field.inv(x) if x else 0 for x in xs]

@@ -15,7 +15,7 @@ from cfslab.goppa import (
     patterson_decode,
 )
 from cfslab.linalg import BitVector, mat_vec, rank
-from oracles import kernel_basis, rootless_quadratic
+from oracles import kernel_basis, parity_check_rows, rootless_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -372,3 +372,34 @@ def test_decode_at_m16_t9():
     for _ in range(3):
         e = BitVector.from_indices(code.n, rng.sample(range(code.n), 9))
         assert patterson_decode(code, mat_vec(code.h, e)) == e
+
+
+# --- the bit-sliced build against the per-position exp/log build ------------
+
+# every m at t = 2 (at m = 2 a code no keygen draws, n - k = n = 4), and the
+# workloads' and the decoder benchmarks' sizes
+ORACLE_PARAMS = [(m, 2) for m in range(2, 17)] + [(10, 4), (10, 6), (12, 8), (16, 9)]
+
+
+@pytest.mark.parametrize("m,t", ORACLE_PARAMS, ids=[f"m{m}t{t}" for m, t in ORACLE_PARAMS])
+def test_build_matches_exp_log_oracle(m, t):
+    code, _ = irreducible_code(m, t, 4000 + 31 * m + t)
+    assert code.h._rows == parity_check_rows(code.g, code.support)
+
+
+@pytest.mark.parametrize("m,t", [(3, 2), (4, 3), (5, 3), (8, 5), (10, 6)])
+def test_build_matches_exp_log_oracle_on_any_code(m, t):
+    # a non-monic g, and strict-subset supports with and without the zero
+    # element, in the field's order and shuffled
+    rng = random.Random(4100 + m)
+    code, _ = irreducible_code(m, t, 4200 + 31 * m + t)
+    g_scaled = code.g.scale(rng.randrange(2, 1 << m))
+    assert g_scaled.coeffs[-1] != 1
+    half = 1 << (m - 1)
+    with_zero = rng.sample(range(1, 1 << m), half - 1)
+    with_zero.insert(rng.randrange(half), 0)
+    without_zero = rng.sample(range(1, 1 << m), half)
+    supports = [code.support, with_zero, without_zero, sorted(with_zero), [0], [1]]
+    for g in (code.g, g_scaled):
+        for support in supports:
+            assert GoppaCode(g, support).h._rows == parity_check_rows(g, list(support))

@@ -244,6 +244,12 @@ MALFORMED = [
     ("pk", "cfs", _replace(b"\nm 4", b"\nm 100000000000000")),
     ("sk", "cfs", lambda text: text.replace(b"\nP ", b"\nP 0 0 ", 1)),  # not a bijection
     ("sk", "mcfsc", lambda text: text.replace(b"\nP ", b"\nP 0 ", 1)),  # wrong length
+    # P with an entry that is negative, past the end or not an integer, and
+    # empty; -1 fills the slot a naive inverse[src] = j would leave open
+    ("sk", "cfs", _replace(b"\nP ", b"\nP -1 ")),
+    ("sk", "cfs", _replace(b"\nP ", b"\nP 16 ")),
+    ("sk", "cfs", _replace(b"\nP ", b"\nP 0.5 ")),
+    ("sk", "cfs", _rest_from(b"\nP ", b"\nP\n")),
     ("pk", "cfs", lambda text: text + b"\xff\xfe"),  # not ASCII
     ("sig", "cfs", lambda text: b"\xff" + text),
     ("sk", "tilde", lambda text: text.replace(b"\nt 3", "\nt \u0663".encode(), 1)),

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from cfslab import linalg
+from cfslab.codehash import HashConfig
 from cfslab.errors import DimensionError
 from cfslab.keyfiles import load_public_key, load_secret_key, save_public_key, save_secret_key
 from cfslab.linalg import (
@@ -16,7 +18,7 @@ from cfslab.linalg import (
     transpose_bits,
 )
 from cfslab.metering import count_operations
-from cfslab.schemes import cfs_keygen
+from cfslab.schemes import cfs_keygen, mcfsc_keygen
 from oracles import as_matrix, from_bits, kernel_basis, mat_vec_rows, transpose
 
 
@@ -341,3 +343,88 @@ def test_key_set_up_builds_no_table(tmp_path):
     for key, public in ((sk, pk), (sk2, pk2)):
         for mat in (key.code.h, key.scrambler, key.scrambler_inv, public.h_pub):
             assert mat._table is None
+
+
+# --- Permutation on hostile mappings ------------------------------------------
+
+HOSTILE_MAPPINGS = {
+    "duplicate": (0, 0),
+    "duplicate-of-three": (2, 0, 2),
+    "past-the-end": (1, 2),
+    "far-past-the-end": (0, 1, 99),
+    # a naive inverse[src] = j fills every slot for these: -1 writes slot n-1
+    "negative-for-the-last": (-1, 0),
+    "negative-and-missing": (1, 2, -3),
+    "float": (0.0, 1),
+    "half": (0, 1.5),
+    "string": ("0", 1),
+    "none": (None, 0),
+}
+
+
+@pytest.mark.parametrize("mapping", HOSTILE_MAPPINGS.values(), ids=HOSTILE_MAPPINGS)
+def test_permutation_rejects_hostile_mappings(mapping):
+    with pytest.raises(ValueError):
+        Permutation(mapping)
+
+
+def test_permutation_on_no_coordinates():
+    p = Permutation(())
+    assert p.n == 0 and p.mapping == () and p.inverse() == p
+    assert p.apply(BitVector.zeros(0)) == BitVector.zeros(0)
+    assert p.permute_columns(BitMatrix(3, 0)) == BitMatrix(3, 0)
+    assert Permutation.from_text("") == p
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 1024])
+def test_permutation_inverse_inverts_the_mapping(n):
+    p = Permutation.random(n, random.Random(n))
+    assert [p.mapping[src] for src in p.inverse().mapping] == list(range(n))
+    assert p.inverse().mapping == tuple(sorted(range(n), key=p.mapping.__getitem__))
+    assert p.inverse().inverse() == p
+
+
+# --- one column list per matrix -----------------------------------------------
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 0), (0, 5), (15, 32), (40, 1024), (144, 257)])
+def test_permute_columns_result_keeps_its_columns(rows, cols):
+    rng = random.Random(rows * 31 + cols)
+    mat = random_matrix(rows, cols, rng)
+    out = Permutation.random(cols, rng).permute_columns(mat)
+    assert out._columns is not None  # handed on, not transposed again
+    assert out.columns() == tuple(transpose_bits(out._rows, cols))
+    assert out.columns() == BitMatrix(rows, cols, out._rows).columns()
+
+
+def test_columns_are_built_once_and_cannot_be_mutated():
+    mat = random_matrix(40, 1024, random.Random(5))
+    cols = mat.columns()
+    assert mat.columns() is cols
+    with pytest.raises(TypeError):
+        cols[0] = 1
+    with pytest.raises(AttributeError):
+        mat._columns = ()
+    assert mat.columns() == tuple(transpose_bits(mat._rows, 1024))
+
+
+@pytest.mark.parametrize("cols", [40, 1024])
+def test_equality_and_hashing_ignore_the_columns(cols):
+    rng = random.Random(cols)
+    a = Permutation.random(cols, rng).permute_columns(random_matrix(40, cols, rng))
+    b = BitMatrix(a.rows, a.cols, list(a._rows))
+    assert a._columns is not None and b._columns is None
+    assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1
+    b.columns()
+    assert a == b and hash(a) == hash(b)
+
+
+def test_public_keys_reuse_the_permuted_columns(monkeypatch):
+    # keygen hands H_pub its columns, and HashConfig and mat_vec read them
+    sk, pk = mcfsc_keygen(10, 6, 4, random.Random(6))
+    calls = []
+    monkeypatch.setattr(linalg, "transpose_bits", lambda *a: calls.append(a) or [])
+    HashConfig(pk.h_pub, 4)
+    e = BitVector.from_indices(1024, [1, 700])
+    assert mat_vec(pk.h_pub, e).to_int() == pk.h_pub.columns()[1] ^ pk.h_pub.columns()[700]
+    assert calls == []
