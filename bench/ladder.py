@@ -1,11 +1,11 @@
 """Key set-up over a ladder of field sizes, m = 4..16: the set-up half of
 the parameter ladder.  Standard library only; not collected by pytest.
 
-    python3 bench/ladder.py [--seed 7] [--repeat 3] [--out BENCH_ladder.json]
+    python3 bench/ladder.py [--out BENCH_ladder.json]
 
 For each rung (m, t) it times, on this checkout's `src/`, a cfs keygen with
-`random.Random(seed)`, saving the secret and the public key, and loading
-each back (`load_secret_key`, `load_public_key`), `--repeat` times each.
+`random.Random(SEED)`, saving the secret and the public key, and loading
+each back (`load_secret_key`, `load_public_key`), REPEAT times each.
 Every rung draws the same key on every repeat.  The JSON written to
 `--out` holds each time in seconds, their median, the key file sizes and
 the interpreter and machine it ran on; a summary table goes to stdout.
@@ -35,14 +35,16 @@ from cfslab import keyfiles, schemes  # noqa: E402  (needs the path above)
 RUNGS = [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 4), (11, 6), (12, 8),
          (13, 8), (14, 9), (15, 9), (16, 9)]
 STEPS = ("keygen", "save", "load_secret_key", "load_public_key")
+SEED = 7
+REPEAT = 5
 
 
-def time_rung(m: int, t: int, seed: int, repeat: int, workdir: str) -> dict:
+def time_rung(m: int, t: int, workdir: str) -> dict:
     sk_path, pk_path = os.path.join(workdir, "ladder.sk"), os.path.join(workdir, "ladder.pk")
     times = {step: [] for step in STEPS}
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = perf_counter()
-        sk, pk = schemes.cfs_keygen(m, t, random.Random(seed))
+        sk, pk = schemes.cfs_keygen(m, t, random.Random(SEED))
         keygen = perf_counter()
         keyfiles.save_secret_key(sk, "cfs", sk_path)
         keyfiles.save_public_key(pk, "cfs", pk_path)
@@ -68,17 +70,13 @@ def time_rung(m: int, t: int, seed: int, repeat: int, workdir: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     rungs = []
     print(f"{'m':>3} {'t':>2} " + " ".join(f"{step + ' ms':>20}" for step in STEPS))
     with tempfile.TemporaryDirectory() as workdir:
         for m, t in RUNGS:
-            rung = time_rung(m, t, args.seed, args.repeat, workdir)
+            rung = time_rung(m, t, workdir)
             rungs.append(rung)
             medians = " ".join(f"{rung[step + '_s_median'] * 1e3:20.3f}" for step in STEPS)
             print(f"{m:>3} {t:>2} {medians}", flush=True)
@@ -86,8 +84,8 @@ def main(argv=None) -> int:
         "what": "cfs key set-up per rung: keygen, save (secret and public), load_secret_key, "
         "load_public_key; seconds, one fixed seed, medians over the repeats",
         "command": " ".join(["python3", "bench/ladder.py", *(sys.argv[1:] if argv is None else argv)]),
-        "seed": args.seed,
-        "repeat": args.repeat,
+        "seed": SEED,
+        "repeat": REPEAT,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
         "rungs": rungs,

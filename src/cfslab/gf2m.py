@@ -96,24 +96,12 @@ def _tables(m: int) -> tuple[tuple[int, ...], ...]:
 # independent, so a 0 somewhere stays 0 through the inverse below.
 
 
-@cache
-def _square_map(m: int) -> tuple[tuple[int, ...], ...]:
-    """Squaring as a linear map of the planes, built once per m: entry c
-    lists the input planes b whose x^(2b) mod the modulus has bit c set."""
-    exp = _tables(m)[0]  # x generates the field, so exp[k] = x^k mod the modulus
-    return tuple(tuple(b for b in range(m) if exp[2 * b] >> c & 1) for c in range(m))
-
-
-def sliced_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    """The planes of a*b at every position: the m^2 plane products of the
-    schoolbook rule, then x^k for k >= m folded back by the modulus."""
-    prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] ^= ai & bj
+def _fold(prod: list[int], m: int) -> list[int]:
+    """The planes of a product's coefficients x^0 .. x^(len - 1) reduced to
+    degree below m: each x^k with k >= m, highest first, folded back by
+    x^m = the modulus' lower terms."""
     low = [d for d in range(m) if _REDUCTION[m] >> d & 1]  # x^m = sum of these x^d
-    for k in range(2 * m - 2, m - 1, -1):
+    for k in range(len(prod) - 1, m - 1, -1):
         top = prod[k]
         if top:
             for d in low:
@@ -121,16 +109,23 @@ def sliced_mul(a: list[int], b: list[int], m: int) -> list[int]:
     return prod[:m]
 
 
+def sliced_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    """The planes of a*b at every position: the m^2 plane products of the
+    schoolbook rule, then `_fold`."""
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] ^= ai & bj
+    return _fold(prod, m)
+
+
 def sliced_square(a: list[int], m: int) -> list[int]:
-    """The planes of a^2: squaring is GF(2)-linear, so each output plane is
-    the XOR of the input planes `_square_map` lists for it."""
-    out = []
-    for sources in _square_map(m):
-        acc = 0
-        for b in sources:
-            acc ^= a[b]
-        out.append(acc)
-    return out
+    """The planes of a^2: in characteristic 2, (sum a_b x^b)^2 is
+    sum a_b x^(2b), so plane b moves to degree 2b before `_fold`."""
+    prod = [0] * (2 * m - 1)
+    prod[::2] = a
+    return _fold(prod, m)
 
 
 def sliced_inv(a: list[int], m: int) -> list[int]:
