@@ -10,7 +10,6 @@ from .errors import (
     CensusInfeasible,
     CfsLabError,
     DecodingInvariantError,
-    DegenerateSyndrome,
     DimensionError,
     InversionOfZero,
     KeyFormatError,

@@ -17,10 +17,6 @@ class NotInvertible(CfsLabError):
     """Polynomial has no inverse modulo the given modulus."""
 
 
-class DegenerateSyndrome(CfsLabError):
-    """The stopped Euclidean algorithm was fed a zero polynomial."""
-
-
 class BadParameters(CfsLabError):
     """Parameter combination violates a scheme or code constraint."""
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import zip_longest
 
-from .errors import DegenerateSyndrome, InversionOfZero, NotInvertible
+from .errors import InversionOfZero, NotInvertible
 
 _REDUCTION = {
     2: 0b111,
@@ -331,10 +331,9 @@ def poly_mod_inv(f: Poly, g: Poly) -> Poly:
     f is reduced mod g once, here; `%` hands back an f of lower degree
     than g unchanged, so neither this step nor the one that opens
     `partial_euclid` divides again.  Raises NotInvertible when gcd(f, g)
-    is not constant.
+    is not constant, a zero f included.
     """
-    b = f % g
-    u, v = partial_euclid(g, b, 0) if b.coeffs else (b, None)
+    u, v = partial_euclid(g, f % g, 0)
     if u.is_zero():  # the last nonzero remainder, gcd(f, g), is not constant
         raise NotInvertible("polynomials are not coprime")
     return v.scale(g.field.inv(u.coeffs[0]))
@@ -376,16 +375,14 @@ def sqrt_x_mod(g: Poly, m: int) -> Poly:
     return frobenius_mod(Poly.x(g.field), g, m * g.degree - 1)
 
 
-def poly_sqrt_mod_g(f: Poly, g: Poly, sqrt_x: Poly | None = None) -> Poly:
+def poly_sqrt_mod_g(f: Poly, g: Poly, sqrt_x: Poly) -> Poly:
     """Square root of f modulo irreducible g.
 
     Splits f into even and odd coefficients, takes coefficient-wise field
-    square roots, and recombines with a (precomputable) sqrt(x) mod g.
+    square roots, and recombines with sqrt(x) mod g (`sqrt_x_mod`).
     """
     field = f.field
     f = f % g
-    if sqrt_x is None:
-        sqrt_x = sqrt_x_mod(g, field.m)
     sqrt = field._sqrt
     even = _poly(field, [sqrt[c] for c in f.coeffs[0::2]])
     odd = _poly(field, [sqrt[c] for c in f.coeffs[1::2]])
@@ -396,12 +393,10 @@ def partial_euclid(a: Poly, b: Poly, stop_deg: int) -> tuple[Poly, Poly]:
     """Extended Euclid on (a, b) stopped at the given remainder degree.
 
     Returns (u, v) with u = v*b (mod a), deg u <= stop_deg and
-    deg v <= deg a - stop_deg - 1.  A zero b has no meaningful answer
-    here (it corresponds to a degenerate zero syndrome upstream), so it
-    is rejected outright.
+    deg v <= deg a - stop_deg - 1.  A zero b gives (0, 1): in the decoder
+    that is tau = 0, a single error at the zero element, whose locator
+    u^2 + x*v^2 is x.
     """
-    if b.is_zero():
-        raise DegenerateSyndrome("stopped Euclid on the zero polynomial")
     if not 0 <= stop_deg < a.degree:
         raise ValueError("stop degree out of range")
     if b.degree > a.degree:

@@ -14,11 +14,13 @@ is.  Keygen's support is the whole field, shuffled, so n = 2^m and
 n - k = m*t once the expansion has full rank; rank-deficient draws are
 thrown away and regenerated.
 
-The decoder's root search reads the same planes back: alpha^s times the
-m rows of block j, for every s < m, is precomputed once per code, and a
-locator's value at every support position is then a handful of big-int
-XORs (`GoppaCode.root_mask`, after McBits' bit-sliced root search).  The
-table holds m*t entries of m*n bits, 18 MiB at m=16, t=9.
+The decoder's root search reads the same planes back, and one block more:
+the build takes Y_j = X * Y_(j-1) one step past H, to Y_t = x^t / g(x).
+alpha^s times the m planes of Y_j, for every j <= t and s < m, is
+precomputed once per code, and a locator's value at every support position
+is then a handful of big-int XORs, every coefficient read the same way
+(`GoppaCode.root_mask`, after McBits' bit-sliced root search).  The table
+holds (t+1)*m entries of m*n bits, 20 MiB at m=16, t=9.
 """
 
 from __future__ import annotations
@@ -68,17 +70,19 @@ class GoppaCode:
         self.n = len(support)
         self.n_minus_k = self.t * self.m
         self._all_positions = (1 << self.n) - 1
-        self.h = BitMatrix(self.n_minus_k, self.n, self._parity_check_rows())
+        planes = self._planes()
+        self.h = BitMatrix(self.n_minus_k, self.n, [row for y in planes[: self.t] for row in y])
         # sqrt(x) mod g, precomputed once for the decoder
         self._sqrt_x = sqrt_x_mod(g, field.m)
-        self._root_table = self._alpha_multiples()
+        self._root_table = self._alpha_multiples(planes)
 
-    def _parity_check_rows(self) -> list[int]:
-        """H's m*t rows: the m bit planes of Y_j = x_i^j / g(x_i) for each j,
-        computed at every support position at once on the planes X of the
-        support.  g(X) by Horner, 1/g(X) by Itoh-Tsujii, Y_j = X * Y_(j-1).
-        At the zero element every X plane is 0, so Y_0 = 1/g_0 there and
-        Y_j = 0 for j >= 1, as x^j / g(x) is."""
+    def _planes(self) -> list[list[int]]:
+        """The m bit planes of Y_j = x_i^j / g(x_i) for j = 0..t, computed
+        at every support position at once on the planes X of the support:
+        g(X) by Horner, 1/g(X) by Itoh-Tsujii, Y_j = X * Y_(j-1).  Y_0..Y_(t-1)
+        are H's m*t rows; Y_t is for `root_mask` alone.  At the zero element
+        every X plane is 0, so Y_0 = 1/g_0 there and Y_j = 0 for j >= 1, as
+        x^j / g(x) is."""
         m = self.m
         x = transpose_bits(self.support, m)
         ones = self._all_positions
@@ -89,31 +93,29 @@ class GoppaCode:
                 if c >> b & 1:
                     gx[b] ^= ones
         y = sliced_inv(gx, m)  # g has no root in the field, so gx is nowhere 0
-        rows = list(y)
-        for _ in range(1, self.t):
+        planes = [y]
+        for _ in range(self.t):
             y = sliced_mul(x, y, m)
-            rows += y
-        return rows
+            planes.append(y)
+        return planes
 
-    def _alpha_multiples(self) -> list[list[int]]:
-        """The bit-sliced tables `root_mask` reads, m*n bits per entry.
+    def _alpha_multiples(self, planes: list[list[int]]) -> list[list[int]]:
+        """The bit-sliced table `root_mask` reads: (t+1)*m entries of m*n bits.
 
-        Rows j*m .. j*m+m-1 of H are the m bit planes of x_i^j / g(x_i);
-        packed side by side (plane b at bit offset b*n) they form Y_j, and
-        entry [j][s] is alpha^s * Y_j.  Multiplying a packed value by alpha
-        shifts every plane up one; the plane pushed out at the top is x^m,
-        which the field's modulus folds back into the planes of its lower
-        terms.  Entry [t][s] is the constant alpha^s at every position.
+        The m planes of x_i^j / g(x_i), packed side by side (plane b at bit
+        offset b*n), form Y_j, and entry [j][s] is alpha^s * Y_j for
+        j = 0..t.  Multiplying a packed value by alpha shifts every plane up
+        one; the plane pushed out at the top is x^m, which the field's
+        modulus folds back into the planes of its lower terms.
         """
-        m, n, t = self.m, self.n, self.t
-        rows = self.h._rows
+        m, n = self.m, self.n
         low = (1 << ((m - 1) * n)) - 1
         # the offsets of the planes x^m folds into: a few shifts, where a
         # multiply by the packed modulus would cost a long-int product
         fold = [b * n for b in range(m) if (self.field.modulus >> b) & 1]
         table = []
-        for j in range(t):
-            y = sum(rows[j * m + b] << (b * n) for b in range(m))
+        for y_planes in planes:
+            y = sum(plane << (b * n) for b, plane in enumerate(y_planes))
             entry = [y]
             for _ in range(m - 1):
                 top = y >> ((m - 1) * n)
@@ -122,7 +124,6 @@ class GoppaCode:
                     y ^= top << shift
                 entry.append(y)
             table.append(entry)
-        table.append([self._all_positions << (s * n) for s in range(m)])
         return table
 
     def root_mask(self, sigma: Poly) -> int:
@@ -131,28 +132,14 @@ class GoppaCode:
 
         sigma(x_i) / g(x_i) = sum_j sigma_j * x_i^j / g(x_i) is computed at
         every position at once, bit-sliced: coefficient c of x^j adds
-        alpha^s * Y_j for each set bit s of c.  Since g(x_i) != 0, the
-        positions whose m planes are all zero are the roots.
+        alpha^s * Y_j for each set bit s of c, for every j from 0 to t.
+        Since g(x_i) != 0, the positions whose m planes are all zero are
+        the roots.
         """
-        coeffs = list(sigma.coeffs)
-        t = self.t
-        if len(coeffs) > t + 1:
-            raise ValueError(f"degree {sigma.degree} is above t = {t}")
-        if len(coeffs) == t + 1:
-            # H has no planes for x^t / g.  Since 2 = 0,
-            # x^t / g = (1 + sum_{j<t} g_j x^j / g) / g_t, so with
-            # c = sigma_t / g_t the top term folds into the lower
-            # coefficients as c * g_j and leaves the constant c behind,
-            # which table entry [t] spreads over every position.
-            field = self.field
-            exp, log = field._exp, field._log
-            lc = (log[coeffs[t]] - log[self.g.coeffs[t]]) % (field.order - 1)
-            for j, gj in enumerate(self.g.coeffs[:t]):
-                if gj:
-                    coeffs[j] ^= exp[lc + log[gj]]
-            coeffs[t] = exp[lc]
+        if sigma.degree > self.t:
+            raise ValueError(f"degree {sigma.degree} is above t = {self.t}")
         acc = 0
-        for entry, c in zip(self._root_table, coeffs):
+        for entry, c in zip(self._root_table, sigma.coeffs):
             while c:
                 low = c & -c
                 acc ^= entry[low.bit_length() - 1]
@@ -250,13 +237,11 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector | None:
     sp = code._syndrome_poly(s)
     x = Poly.x(field)
     t_poly = poly_mod_inv(sp, g)
-    if t_poly == x:
-        # single error at the support position holding the zero element
-        locator = x
-    else:
-        tau = poly_sqrt_mod_g(t_poly + x, g, code._sqrt_x)
-        u, v = partial_euclid(g, tau, t // 2)
-        locator = u * u + x * (v * v)
+    # a single error at the zero element gives T = x, so tau = 0, (u, v) =
+    # (0, 1) and sigma = x
+    tau = poly_sqrt_mod_g(t_poly + x, g, code._sqrt_x)
+    u, v = partial_euclid(g, tau, t // 2)
+    locator = u * u + x * (v * v)
     mask = code.root_mask(locator)
     if mask.bit_count() != locator.degree:
         return None

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cfslab.errors import DegenerateSyndrome, InversionOfZero, NotInvertible
+from cfslab.errors import InversionOfZero, NotInvertible
 from cfslab.gf2m import (
     GF2m,
     Poly,
@@ -287,8 +287,9 @@ def test_poly_mod_inv_of_a_multiple_of_g_is_not_invertible():
 
 def test_poly_sqrt_trivial_cases():
     g = irreducible_g(F16, 3, seed=3)
-    assert poly_sqrt_mod_g(Poly.zero(F16), g).is_zero()
-    assert poly_sqrt_mod_g(Poly.one(F16), g) == Poly.one(F16)
+    sx = sqrt_x_mod(g, F16.m)
+    assert poly_sqrt_mod_g(Poly.zero(F16), g, sx).is_zero()
+    assert poly_sqrt_mod_g(Poly.one(F16), g, sx) == Poly.one(F16)
 
 
 def test_poly_sqrt_round_trip():
@@ -306,10 +307,8 @@ def test_poly_sqrt_round_trip():
 def test_partial_euclid_contract():
     rng = random.Random(23)
     g = irreducible_g(F16, 5, seed=7)
-    for _ in range(100):
-        b = random_poly(F16, 4, rng)
-        if b.is_zero():
-            continue
+    for k in range(101):
+        b = random_poly(F16, 4, rng) if k else Poly.zero(F16)
         stop = rng.randrange(0, g.degree)
         u, v = partial_euclid(g, b, stop)
         assert not v.is_zero()
@@ -326,10 +325,13 @@ def test_partial_euclid_zero_steps():
     assert v == Poly.one(F16)
 
 
-def test_partial_euclid_rejects_zero():
-    g = irreducible_g(F16, 3, seed=9)
-    with pytest.raises(DegenerateSyndrome):
-        partial_euclid(g, Poly.zero(F16), 1)
+def test_partial_euclid_of_zero_is_zero_one():
+    # u = v*b mod a holds with u = 0, v = 1; the decoder's tau = 0 (a single
+    # error at the zero element) gives the locator u^2 + x*v^2 = x
+    for t in (2, 3, 5):
+        g = irreducible_g(F16, t, seed=9 + t)
+        for stop in range(g.degree):
+            assert partial_euclid(g, Poly.zero(F16), stop) == (Poly.zero(F16), Poly.one(F16))
 
 
 def test_poly_gcd_normalizes_monic():

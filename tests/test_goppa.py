@@ -328,6 +328,36 @@ def test_decode_any_accepted_code_is_sound(m, t):
     assert decoded
 
 
+def test_decode_matches_reference_on_every_syndrome():
+    # every syndrome of a (4,2) keygen code, and of a (5,3) code with a
+    # non-monic g on a strict subset of the field that keeps the zero element
+    part, _ = irreducible_code(5, 3, 1401, omit=3)
+    assert 0 in part.support
+    codes = [goppa_keygen(4, 2, random.Random(1400)), GoppaCode(part.g.scale(5), part.support)]
+    for code in codes:
+        r = code.n_minus_k
+        decoded = 0
+        for value in range(1 << r):
+            s = BitVector(r, value)
+            got = patterson_decode(code, s)
+            assert got == reference_decode(code, s)
+            decoded += got is not None
+        assert decoded == sum(math.comb(code.n, i) for i in range(code.t + 1))
+
+
+@pytest.mark.parametrize("m,t", [(5, 3), (10, 4), (12, 8)])
+def test_decode_single_error_at_zero_element(m, t):
+    # T(x) = x there, so tau = 0 and the stopped Euclid hands back (0, 1)
+    code, _ = irreducible_code(m, t, 1500 + 31 * m + t)
+    x = Poly.x(code.field)
+    for g in (code.g, code.g.scale(3)):
+        c = GoppaCode(g, code.support)
+        e = BitVector.from_indices(c.n, [c.support.index(0)])
+        s = mat_vec(c.h, e)
+        assert poly_mod_inv(c._syndrome_poly(s), g) == x == reference_locator(c, s)
+        assert patterson_decode(c, s) == e == reference_decode(c, s)
+
+
 def random_poly_of_degree(field, d, rng):
     if d < 0:
         return Poly.zero(field)
