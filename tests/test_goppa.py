@@ -175,7 +175,10 @@ def test_census_record_fields(code_t2):
 
 
 def reference_locator(code, s):
-    """Patterson's error locator for a nonzero syndrome, step by step."""
+    """Patterson's error locator for a nonzero syndrome, step by step.
+    T(x) = x, a single error at the zero element, is its own case here, so
+    the decoder's branch-free path (tau = 0 through the stopped Euclid) is
+    checked against an answer that does not take it."""
     x = Poly.x(code.field)
     t_poly = poly_mod_inv(code._syndrome_poly(s), code.g)
     if t_poly == x:
