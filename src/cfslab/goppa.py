@@ -14,6 +14,11 @@ is.  Keygen's support is the whole field, shuffled, so n = 2^m and
 n - k = m*t once the expansion has full rank; rank-deficient draws are
 thrown away and regenerated.
 
+A public key's H*P is built the same way, on the support taken in P's
+order (`GoppaCode._permuted_h`): column j of H*P is the column of
+support[P.mapping[j]], so its rows come out of the build directly and no
+column list of H is transposed and permuted back.
+
 The decoder's root search reads the same planes back, and one block more:
 the build takes Y_j = X * Y_(j-1) one step past H, to Y_t = x^t / g(x).
 alpha^s times the m planes of Y_j, for every j <= t and s < m, is
@@ -42,7 +47,7 @@ from .gf2m import (
     sliced_mul,
     sqrt_x_mod,
 )
-from .linalg import BitMatrix, BitVector, mat_vec, rank, transpose_bits
+from .linalg import BitMatrix, BitVector, Permutation, mat_vec, rank, transpose_bits
 from .metering import tick_decode
 
 
@@ -70,21 +75,22 @@ class GoppaCode:
         self.n = len(support)
         self.n_minus_k = self.t * self.m
         self._all_positions = (1 << self.n) - 1
-        planes = self._planes()
-        self.h = BitMatrix(self.n_minus_k, self.n, [row for y in planes[: self.t] for row in y])
+        planes = self._planes(support, self.t + 1)
+        self.h = self._matrix(planes[: self.t])
         # sqrt(x) mod g, precomputed once for the decoder
         self._sqrt_x = sqrt_x_mod(g, field.m)
         self._root_table = self._alpha_multiples(planes)
 
-    def _planes(self) -> list[list[int]]:
-        """The m bit planes of Y_j = x_i^j / g(x_i) for j = 0..t, computed
-        at every support position at once on the planes X of the support:
-        g(X) by Horner, 1/g(X) by Itoh-Tsujii, Y_j = X * Y_(j-1).  Y_0..Y_(t-1)
-        are H's m*t rows; Y_t is for `root_mask` alone.  At the zero element
-        every X plane is 0, so Y_0 = 1/g_0 there and Y_j = 0 for j >= 1, as
+    def _planes(self, support, blocks: int) -> list[list[int]]:
+        """The m bit planes of Y_j = x_i^j / g(x_i) for j < blocks, computed
+        at every position of `support` (n elements of the code's support, in
+        any order) at once on the planes X of the support: g(X) by Horner,
+        1/g(X) by Itoh-Tsujii, Y_j = X * Y_(j-1).  Y_0..Y_(t-1) are H's m*t
+        rows; Y_t is for `root_mask` alone.  At the zero element every X
+        plane is 0, so Y_0 = 1/g_0 there and Y_j = 0 for j >= 1, as
         x^j / g(x) is."""
         m = self.m
-        x = transpose_bits(self.support, m)
+        x = transpose_bits(support, m)
         ones = self._all_positions
         gx = [0] * m
         for c in reversed(self.g.coeffs):
@@ -94,10 +100,23 @@ class GoppaCode:
                     gx[b] ^= ones
         y = sliced_inv(gx, m)  # g has no root in the field, so gx is nowhere 0
         planes = [y]
-        for _ in range(self.t):
+        for _ in range(blocks - 1):
             y = sliced_mul(x, y, m)
             planes.append(y)
         return planes
+
+    def _matrix(self, planes: list[list[int]]) -> BitMatrix:
+        """The parity-check matrix whose rows are the t blocks of planes."""
+        return BitMatrix(self.n_minus_k, self.n, [row for y in planes for row in y])
+
+    def _permuted_h(self, perm: Permutation) -> BitMatrix:
+        """H * P, built as H is but on the support in P's order: column j of
+        H * P is column mapping[j] of H, the column of support[mapping[j]].
+        DimensionError unless P permutes n coordinates."""
+        if perm.n != self.n:
+            raise DimensionError("column count mismatch in permutation")
+        support = list(map(self.support.__getitem__, perm.mapping))
+        return self._matrix(self._planes(support, self.t))
 
     def _alpha_multiples(self, planes: list[list[int]]) -> list[list[int]]:
         """The bit-sliced table `root_mask` reads: (t+1)*m entries of m*n bits.

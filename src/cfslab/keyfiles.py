@@ -155,7 +155,7 @@ def load_secret_key(path: str):
         code = GoppaCode(g, _parse_field_elems(r.next("support")))
         if scheme.scrambled:
             fields["scrambler"] = r.matrix("S")
-        perm = Permutation.from_text(" ".join(r.next("P")))
+        perm = Permutation(map(int, r.next("P")))
         sk, _ = scheme.from_parts(code=code, perm=perm, **fields)
     return name, sk
 

@@ -17,10 +17,15 @@ per bit.
 
 A matrix's columns are computed once: `columns()` transposes on its first
 call and keeps the tuple, and `permute_columns` hands its result the
-columns it picked, so H_pub arrives with its list already built.
-`mat_vec` and `codehash.HashConfig` read that same tuple.  A column list
+columns it picked.  `mat_vec` and `codehash.HashConfig` read that same
+tuple.  Keygen builds H_pub from rows (`goppa.GoppaCode._permuted_h`), so
+its list is transposed by whichever reads it first: `HashConfig` at set-up
+for mcfsc and tilde, the first verify for cfs and mcfs.  A column list
 costs ~0.4-1 ms to transpose at 40 x 1024 and ~0.06-0.13 s at 144 x 65536
 (m = 16), where it holds ~3.3 MiB.
+
+`inverse` keeps its result on the matrix as well, "singular" included, so
+the draw `rand_invertible` accepts carries its S^-1 to `Scheme.from_parts`.
 
 `mat_vec` reads a matrix through a table: a matrix of at most 256 columns
 (every scrambler inverse S^-1, H and H_pub at m <= 8) gets "four
@@ -36,8 +41,8 @@ sparse error vectors and regular words it meets.
 pass, one write per entry.
 
 Everything is immutable after construction; operations return new values.
-The cached columns and tables are not part of a matrix's value: equality
-and hashing ignore them.
+The cached columns, tables and inverse are not part of a matrix's value:
+equality and hashing ignore them.
 """
 
 from __future__ import annotations
@@ -182,7 +187,7 @@ def _bitvector(n: int, bits: int) -> BitVector:
 class BitMatrix:
     """r x c matrix over GF(2), rows packed as integers."""
 
-    __slots__ = ("rows", "cols", "_rows", "_columns", "_table")
+    __slots__ = ("rows", "cols", "_rows", "_columns", "_table", "_inverse")
 
     def __init__(self, rows: int, cols: int, row_ints=None):
         if rows < 0 or cols < 0:
@@ -200,6 +205,7 @@ class BitMatrix:
         object.__setattr__(self, "_rows", row_ints)
         object.__setattr__(self, "_columns", None)  # columns(), built on first use
         object.__setattr__(self, "_table", None)  # mat_vec's chunk tables, likewise
+        object.__setattr__(self, "_inverse", None)  # inverse(): a BitMatrix, or False if singular
 
     def __setattr__(self, *_):
         raise AttributeError("BitMatrix is immutable")
@@ -325,7 +331,7 @@ class Permutation:
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
-        return cls(int(tok) for tok in text.split())
+        return cls(map(int, text.split()))
 
 
 # widest matrix that mat_vec reads through byte-chunk tables
@@ -333,6 +339,7 @@ _CHUNKED_MAX_COLS = 256
 
 _set_columns = BitMatrix._columns.__set__
 _set_table = BitMatrix._table.__set__
+_set_inverse = BitMatrix._inverse.__set__
 
 
 def _chunk_tables(cols: list[int]) -> list[list[int]]:
@@ -389,26 +396,30 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def _rref(row_ints: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form in place on a copy; returns (rows, pivot cols).
+    """Reduced row echelon form on a copy; returns (rows, pivot cols).
 
     Augmented columns may ride along above `cols`; they are eliminated with
     the rest of the row but never chosen as pivots.
     """
     rows = list(row_ints)
+    height = len(rows)
     pivots = []
     r = 0
     for c in range(cols):
         mask = 1 << c
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & mask), None)
-        if pivot is None:
+        for i in range(r, height):
+            if rows[i] & mask:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & mask:
-                rows[i] ^= rows[r]
+        pivot = rows[i]
+        rows[i] = rows[r]
+        # the pivot row clears its own bit too, so it is put back after
+        rows = [row ^ pivot if row & mask else row for row in rows]
+        rows[r] = pivot
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == height:
             break
     return rows, pivots
 
@@ -418,22 +429,25 @@ def rank(mat: BitMatrix) -> int:
 
 
 def inverse(mat: BitMatrix) -> BitMatrix | None:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular.  Eliminated on the
+    first call and kept on the matrix, like its columns."""
     if mat.rows != mat.cols:
         raise DimensionError("only square matrices can be inverted")
-    n = mat.cols
-    aug = [r | (1 << (n + i)) for i, r in enumerate(mat._rows)]
-    rows, pivots = _rref(aug, n)
-    if len(pivots) != n:
-        return None
-    return BitMatrix(n, n, [r >> n for r in rows])
+    inv = mat._inverse
+    if inv is None:  # threads that race here compute equal results; either may stay
+        n = mat.cols
+        aug = [r | (1 << (n + i)) for i, r in enumerate(mat._rows)]
+        rows, pivots = _rref(aug, n)
+        inv = BitMatrix(n, n, [r >> n for r in rows]) if len(pivots) == n else False
+        _set_inverse(mat, inv)
+    return inv or None
 
 
 def rand_invertible(r: int, rng) -> BitMatrix:
-    """A uniformly random invertible r x r matrix."""
+    """A uniformly random invertible r x r matrix, its inverse kept."""
     if r < 1:
         raise DimensionError("size must be positive")
     while True:
         m = BitMatrix(r, r, [rng.getrandbits(r) for _ in range(r)])
-        if rank(m) == r:
+        if inverse(m) is not None:
             return m

@@ -297,17 +297,19 @@ class Scheme:
     def from_parts(self, code: GoppaCode, perm: Permutation, scrambler=None, **fields):
         """(sk, pk) from a code, a permutation P, S if the scheme scrambles,
         and the header fields; BadParameters unless S is invertible (S^-1 is
-        computed here) and the public-key type takes H_pub."""
+        read from `inverse`, which a keygen'd S already ran) and the
+        public-key type takes H_pub = S * (H * P); DimensionError unless P
+        has n coordinates."""
         if (scrambler is None) == self.scrambled:
             need = "needs" if self.scrambled else "takes no"
             raise BadParameters(f"{self.name} {need} scrambler")
-        h, s_inv = code.h, None
+        h_pub, s_inv = code._permuted_h(perm), None
         if scrambler is not None:
             s_inv = inverse(scrambler)
             if s_inv is None:
                 raise BadParameters("scrambler is singular")
-            h = mat_mul(scrambler, h)
-        pk = self.public_key_type(perm.permute_columns(h), code.t, **fields)
+            h_pub = mat_mul(scrambler, h_pub)
+        pk = self.public_key_type(h_pub, code.t, **fields)
         return SecretKey(code, perm, pk, scrambler, s_inv), pk
 
     def keygen(self, m: int, t: int, rng, **fields):
