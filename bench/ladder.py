@@ -4,9 +4,13 @@ the parameter ladder.  Standard library only; not collected by pytest.
     python3 bench/ladder.py [--out BENCH_ladder.json]
 
 For each rung (m, t) it times, on this checkout's `src/`, a cfs keygen with
-`random.Random(SEED)`, saving the secret and the public key, and loading
-each back (`load_secret_key`, `load_public_key`), REPEAT times each.
-Every rung draws the same key on every repeat.  The JSON written to
+`random.Random(SEED)`, the first `cfs_verify` against the public key that
+keygen returned, saving the secret and the public key, and loading each
+back (`load_secret_key`, `load_public_key`), REPEAT times each.  Every rung
+draws the same key on every repeat.  The verified signature is a weight-t
+error that no counter was decoded for, so verify must reject it; what the
+step times is the first product by H_pub, which transposes its column
+list (keygen builds H_pub from rows).  The JSON written to
 `--out` holds each time in seconds, their median, the key file sizes and
 the interpreter and machine it ran on; a summary table goes to stdout.
 """
@@ -28,13 +32,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from cfslab import keyfiles, schemes  # noqa: E402  (needs the path above)
+from cfslab.linalg import BitVector  # noqa: E402
 
 # t per rung: m*t < 2^m everywhere; m=5,t=3 and m=10,t=4 are the benchmark
 # workloads' cfs keys, and t stops at 9 where retry signing (~t! decodes)
 # is still within reach
 RUNGS = [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 4), (11, 6), (12, 8),
          (13, 8), (14, 9), (15, 9), (16, 9)]
-STEPS = ("keygen", "save", "load_secret_key", "load_public_key")
+STEPS = ("keygen", "first_verify", "save", "load_secret_key", "load_public_key")
 SEED = 7
 REPEAT = 5
 
@@ -42,10 +47,15 @@ REPEAT = 5
 def time_rung(m: int, t: int, workdir: str) -> dict:
     sk_path, pk_path = os.path.join(workdir, "ladder.sk"), os.path.join(workdir, "ladder.pk")
     times = {step: [] for step in STEPS}
+    unsigned = schemes.CfsSignature(0, BitVector.from_indices(1 << m, range(t)))
     for _ in range(REPEAT):
         start = perf_counter()
         sk, pk = schemes.cfs_keygen(m, t, random.Random(SEED))
         keygen = perf_counter()
+        accepted = schemes.cfs_verify(b"ladder", unsigned, pk)
+        verified = perf_counter()
+        if accepted:
+            raise AssertionError(f"m={m}, t={t}: verify accepted an error that was never signed")
         keyfiles.save_secret_key(sk, "cfs", sk_path)
         keyfiles.save_public_key(pk, "cfs", pk_path)
         saved = perf_counter()
@@ -55,8 +65,9 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         done = perf_counter()
         if loaded_sk.pk != pk or loaded_pk != pk:
             raise AssertionError(f"m={m}, t={t}: the reloaded key differs")
-        for step, elapsed in zip(STEPS, (keygen - start, saved - keygen, loaded - saved, done - loaded)):
-            times[step].append(elapsed)
+        marks = (start, keygen, verified, saved, loaded, done)
+        for step, begin, end in zip(STEPS, marks, marks[1:]):
+            times[step].append(end - begin)
     return {
         "m": m,
         "t": t,
@@ -81,7 +92,8 @@ def main(argv=None) -> int:
             medians = " ".join(f"{rung[step + '_s_median'] * 1e3:20.3f}" for step in STEPS)
             print(f"{m:>3} {t:>2} {medians}", flush=True)
     record = {
-        "what": "cfs key set-up per rung: keygen, save (secret and public), load_secret_key, "
+        "what": "cfs key set-up per rung: keygen, the first verify against keygen's public key "
+        "(an unsigned weight-t error, rejected), save (secret and public), load_secret_key, "
         "load_public_key; seconds, one fixed seed, medians over the repeats",
         "command": " ".join(["python3", "bench/ladder.py", *(sys.argv[1:] if argv is None else argv)]),
         "seed": SEED,

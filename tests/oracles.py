@@ -1,7 +1,8 @@
 """Plain constructions that the tests state facts with and `cfslab` itself
 never needs: vectors from bit strings, the transpose, the row-parity matrix
 product, the per-position Goppa parity-check build, permutation matrices,
-kernel bases and a quadratic with no root in the field."""
+kernel bases, rank by an XOR basis and the random invertible matrix it
+accepts, and a quadratic with no root in the field."""
 
 from cfslab.errors import DimensionError
 from cfslab.gf2m import GF2m, Poly
@@ -81,6 +82,29 @@ def kernel_basis(mat: BitMatrix) -> list[BitVector]:
                 v |= 1 << c
         basis.append(BitVector(n, v))
     return basis
+
+
+def rank_by_basis(row_ints) -> int:
+    """Rank over GF(2) without `linalg._rref`: each row is reduced by an XOR
+    basis kept in descending order, so distinct leading bits, and a row
+    left nonzero joins it."""
+    basis = []
+    for row in row_ints:
+        for b in basis:
+            row = min(row, row ^ b)  # clears b's leading bit where row has it
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def rand_invertible_by_rank(r: int, rng) -> BitMatrix:
+    """Reference for `linalg.rand_invertible`: r rows of r random bits,
+    drawn again until their rank is r."""
+    while True:
+        rows = [rng.getrandbits(r) for _ in range(r)]
+        if rank_by_basis(rows) == r:
+            return BitMatrix(r, r, rows)
 
 
 def rootless_quadratic(field: GF2m) -> Poly:

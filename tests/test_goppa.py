@@ -14,7 +14,7 @@ from cfslab.goppa import (
     goppa_keygen,
     patterson_decode,
 )
-from cfslab.linalg import BitVector, mat_vec, rank
+from cfslab.linalg import BitVector, Permutation, mat_vec, rank
 from oracles import kernel_basis, parity_check_rows, rootless_quadratic
 
 
@@ -436,3 +436,29 @@ def test_build_matches_exp_log_oracle_on_any_code(m, t):
     for g in (code.g, g_scaled):
         for support in supports:
             assert GoppaCode(g, support).h._rows == parity_check_rows(g, list(support))
+
+
+# --- H * P on the permuted support, against the column round trip -----------
+
+PERMUTED_PARAMS = [(3, 2), (4, 2), (5, 3), (8, 3), (10, 4), (12, 8)]
+
+
+@pytest.mark.parametrize("m,t", PERMUTED_PARAMS, ids=[f"m{m}t{t}" for m, t in PERMUTED_PARAMS])
+def test_permuted_h_matches_permute_columns(m, t):
+    # monic and non-monic g, on the whole field and on a strict subset of it
+    # that holds the zero element
+    rng = random.Random(4500 + 31 * m + t)
+    code, _ = irreducible_code(m, t, 4600 + 31 * m + t)
+    g_scaled = code.g.scale(rng.randrange(2, 1 << m))
+    subset = [x for x in code.support if x != 0][3:]
+    subset.insert(rng.randrange(len(subset) + 1), 0)
+    for g in (code.g, g_scaled):
+        for support in (code.support, subset):
+            part = GoppaCode(g, support)
+            for perm in (Permutation.identity(part.n), Permutation.random(part.n, rng)):
+                hp = part._permuted_h(perm)
+                assert hp == perm.permute_columns(part.h)
+                assert (hp.rows, hp.cols) == (m * t, part.n)
+            for wrong in (part.n - 1, part.n + 1):
+                with pytest.raises(DimensionError):
+                    part._permuted_h(Permutation.random(wrong, rng))

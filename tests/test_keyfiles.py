@@ -5,7 +5,7 @@ import pytest
 from cfslab.attacks import forge_mcfsc
 from cfslab.cli import run
 from cfslab import goppa
-from cfslab.errors import KeyFormatError
+from cfslab.errors import DimensionError, KeyFormatError
 from cfslab.gf2m import GF2m
 from cfslab.goppa import goppa_keygen
 from cfslab.keyfiles import (
@@ -364,3 +364,22 @@ def test_matrix_rows_may_hold_whitespace(tmp_path, good_files):
 def _write(path, data):
     path.write_bytes(data)
     return path
+
+
+@pytest.mark.parametrize("scheme", ["cfs", "mcfsc"])  # scrambled, and not
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_p_of_the_wrong_length_is_refused(tmp_path, good_files, scheme, delta):
+    # P a bijection on n - 1 or n + 1 positions: H * P is built by indexing
+    # the support with P, so its length is checked before the support is read
+    text = good_files["sk", scheme]
+    _, sk = load_secret_key(_write(tmp_path / "good", text))
+    perm = Permutation.random(sk.code.n + delta, random.Random(sk.code.n + delta))
+    lines = [b"P " + perm.to_text().encode() if ln.startswith(b"P ") else ln for ln in text.split(b"\n")]
+    with pytest.raises(KeyFormatError):
+        load_secret_key(_write(tmp_path / "bad", b"\n".join(lines)))
+    record = SCHEMES[scheme]
+    fields = {f: getattr(sk.pk, f) for f in record.header}
+    if record.scrambled:
+        fields["scrambler"] = sk.scrambler
+    with pytest.raises(DimensionError):
+        record.from_parts(sk.code, perm, **fields)

@@ -19,7 +19,15 @@ from cfslab.linalg import (
 )
 from cfslab.metering import count_operations
 from cfslab.schemes import cfs_keygen, mcfsc_keygen
-from oracles import as_matrix, from_bits, kernel_basis, mat_vec_rows, transpose
+from oracles import (
+    as_matrix,
+    from_bits,
+    kernel_basis,
+    mat_vec_rows,
+    rand_invertible_by_rank,
+    rank_by_basis,
+    transpose,
+)
 
 
 def random_matrix(r, c, rng):
@@ -139,8 +147,57 @@ def test_kernel_basis_spans_kernel():
         assert rank(BitMatrix(len(basis), 13, [v.to_int() for v in basis])) == len(basis)
 
 
-def test_inverse_of_singular_is_none():
-    assert inverse(BitMatrix(2, 2, [0b11, 0b11])) is None
+# --- inverse() keeps its result on the matrix ----------------------------------
+
+
+def counting_rref(monkeypatch):
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *a: calls.append(a) or rref(*a))
+    return calls
+
+
+def test_inverse_of_singular_is_none(monkeypatch):
+    # "singular" is kept too: the second call eliminates nothing
+    calls = counting_rref(monkeypatch)
+    singular = BitMatrix(2, 2, [0b11, 0b11])
+    assert inverse(singular) is None and inverse(singular) is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("r", [1, 7, 40, 144])
+def test_inverse_is_eliminated_once_and_kept(monkeypatch, r):
+    s = BitMatrix(r, r, rand_invertible(r, random.Random(r))._rows)  # nothing cached
+    calls = counting_rref(monkeypatch)
+    inv = inverse(s)
+    assert inverse(s) is inv and len(calls) == 1
+    assert mat_mul(s, inv) == BitMatrix.identity(r)
+    assert s == BitMatrix(r, r, s._rows) and hash(s) == hash(BitMatrix(r, r, s._rows))
+
+
+def test_rand_invertible_hands_on_its_inverse(monkeypatch):
+    s = rand_invertible(40, random.Random(41))
+    calls = counting_rref(monkeypatch)
+    assert mat_mul(s, inverse(s)) == BitMatrix.identity(40) and calls == []
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8, 15, 40, 64])
+def test_rand_invertible_matches_the_rank_oracle(r):
+    # accepting a draw iff it has an inverse accepts the draws of full rank:
+    # same matrices, and the RNG left in the same state
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert rand_invertible(r, rng) == rand_invertible_by_rank(r, ref)
+        assert rng.getrandbits(64) == ref.getrandbits(64)
+
+
+@pytest.mark.parametrize("r,c", [(1, 1), (6, 13), (15, 15), (13, 6), (40, 40)])
+def test_rank_matches_the_basis_oracle(r, c):
+    rng = random.Random(r * 100 + c)
+    for _ in range(50):
+        # sparse rows, so that rank-deficient matrices come up too
+        rows = [rng.getrandbits(c) & rng.getrandbits(c) for _ in range(r)]
+        assert rank(BitMatrix(r, c, rows)) == rank_by_basis(rows)
 
 
 def test_vector_bytes_round_trip():
@@ -420,7 +477,8 @@ def test_equality_and_hashing_ignore_the_columns(cols):
 
 
 def test_public_keys_reuse_the_permuted_columns(monkeypatch):
-    # keygen hands H_pub its columns, and HashConfig and mat_vec read them
+    # the key's HashConfig transposes H_pub once, at keygen, and another
+    # HashConfig and mat_vec read the same columns
     sk, pk = mcfsc_keygen(10, 6, 4, random.Random(6))
     calls = []
     monkeypatch.setattr(linalg, "transpose_bits", lambda *a: calls.append(a) or [])
@@ -428,3 +486,20 @@ def test_public_keys_reuse_the_permuted_columns(monkeypatch):
     e = BitVector.from_indices(1024, [1, 700])
     assert mat_vec(pk.h_pub, e).to_int() == pk.h_pub.columns()[1] ^ pk.h_pub.columns()[700]
     assert calls == []
+
+
+@pytest.mark.parametrize("m,t", [(5, 3), (10, 4)])
+def test_key_set_up_transposes_no_column_list(tmp_path, monkeypatch, m, t):
+    # keygen and load_secret_key build H_pub = S * (H * P) from rows; a cfs
+    # H_pub is transposed by the first product that reads its columns
+    calls = []
+    transpose = linalg.transpose_bits
+    monkeypatch.setattr(linalg, "transpose_bits", lambda *a: calls.append(a[1]) or transpose(*a))
+    sk, pk = cfs_keygen(m, t, random.Random(m))
+    save_secret_key(sk, "cfs", tmp_path / "sk")
+    _, loaded = load_secret_key(tmp_path / "sk")
+    assert calls == []
+    for key in (pk, loaded.pk):
+        assert key.h_pub._columns is None
+        assert mat_vec(key.h_pub, BitVector.from_indices(1 << m, [3])).to_int() == key.h_pub.columns()[3]
+    assert calls == [1 << m, 1 << m]
