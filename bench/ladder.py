@@ -1,5 +1,5 @@
-"""Key set-up over a ladder of field sizes, m = 4..16: the set-up half of
-the parameter ladder.  Standard library only; not collected by pytest.
+"""Key set-up and the code-based hash over a ladder of field sizes,
+m = 4..16.  Standard library only; not collected by pytest.
 
     python3 bench/ladder.py [--out BENCH_ladder.json]
 
@@ -10,9 +10,18 @@ back (`load_secret_key`, `load_public_key`), REPEAT times each.  Every rung
 draws the same key on every repeat.  The verified signature is a weight-t
 error that no counter was decoded for, so verify must reject it; what the
 step times is the first product by H_pub, which transposes its column
-list (keygen builds H_pub from rows).  The JSON written to
-`--out` holds each time in seconds, their median, the key file sizes and
-the interpreter and machine it ran on; a summary table goes to stdout.
+list (keygen builds H_pub from rows).
+
+The code-hash step builds one mcfsc key per rung from the same seed, with
+w = 2 (w = 1 at t = 2, since w < t), and times `md_final_state` and
+`forge_mcfsc` on one fixed 8 KiB message, REPEAT times each: the
+Merkle-Damgard chain at every field size.  Every forgery must verify and
+must have cost no decoder call; a failed check exits non-zero and names the
+rung.
+
+The JSON written to `--out` holds each time in seconds, their median, the
+key file sizes, the hash state size s and the interpreter and machine it
+ran on; a summary table goes to stdout.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from cfslab import keyfiles, schemes  # noqa: E402  (needs the path above)
+from cfslab import attacks, keyfiles, schemes  # noqa: E402  (needs the path above)
+from cfslab.codehash import md_final_state  # noqa: E402
 from cfslab.linalg import BitVector  # noqa: E402
 
 # t per rung: m*t < 2^m everywhere; m=5,t=3 and m=10,t=4 are the benchmark
@@ -39,9 +49,12 @@ from cfslab.linalg import BitVector  # noqa: E402
 # is still within reach
 RUNGS = [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 4), (11, 6), (12, 8),
          (13, 8), (14, 9), (15, 9), (16, 9)]
-STEPS = ("keygen", "first_verify", "save", "load_secret_key", "load_public_key")
+SETUP_STEPS = ("keygen", "first_verify", "save", "load_secret_key", "load_public_key")
+HASH_STEPS = ("md_final_state", "forge_mcfsc")
+STEPS = SETUP_STEPS + HASH_STEPS
 SEED = 7
 REPEAT = 5
+MESSAGE = random.Random(SEED).randbytes(8192)
 
 
 def time_rung(m: int, t: int, workdir: str) -> dict:
@@ -66,12 +79,28 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         if loaded_sk.pk != pk or loaded_pk != pk:
             raise AssertionError(f"m={m}, t={t}: the reloaded key differs")
         marks = (start, keygen, verified, saved, loaded, done)
-        for step, begin, end in zip(STEPS, marks, marks[1:]):
+        for step, begin, end in zip(SETUP_STEPS, marks, marks[1:]):
             times[step].append(end - begin)
+    _, mcfsc_pk = schemes.mcfsc_keygen(m, t, 2 if t > 2 else 1, random.Random(SEED))
+    cfg = mcfsc_pk.cfg
+    for _ in range(REPEAT):
+        start = perf_counter()
+        md_final_state(MESSAGE, cfg)
+        chained = perf_counter()
+        forgery = attacks.forge_mcfsc(MESSAGE, mcfsc_pk, random.Random(SEED))
+        forged = perf_counter()
+        if not schemes.mcfsc_verify(MESSAGE, forgery.signature, mcfsc_pk):
+            raise AssertionError(f"m={m}, t={t}: the mcfsc forgery does not verify")
+        if forgery.cost.decode_calls:
+            raise AssertionError(f"m={m}, t={t}: the mcfsc forgery called the decoder")
+        times["md_final_state"].append(chained - start)
+        times["forge_mcfsc"].append(forged - chained)
     return {
         "m": m,
         "t": t,
         "n": 1 << m,
+        "w": cfg.w,
+        "s": cfg.s,
         "sk_bytes": os.path.getsize(sk_path),
         "pk_bytes": os.path.getsize(pk_path),
         **{f"{step}_s": values for step, values in times.items()},
@@ -94,7 +123,9 @@ def main(argv=None) -> int:
     record = {
         "what": "cfs key set-up per rung: keygen, the first verify against keygen's public key "
         "(an unsigned weight-t error, rejected), save (secret and public), load_secret_key, "
-        "load_public_key; seconds, one fixed seed, medians over the repeats",
+        "load_public_key; then, on an mcfsc key with w = 2 (w = 1 at t = 2), md_final_state "
+        "and forge_mcfsc of one 8 KiB message (each forgery verified, decode-free); seconds, "
+        "one fixed seed, medians over the repeats",
         "command": " ".join(["python3", "bench/ladder.py", *(sys.argv[1:] if argv is None else argv)]),
         "seed": SEED,
         "repeat": REPEAT,

@@ -3,8 +3,10 @@ key loading uses it.
 
 md_hash and md_final_state of a long message are bound by the chain: one
 traced `compress` per s-bit block, with the chaining state kept as an int
-and wrapped in an unchecked BitVector for each call.  forge_mcfsc on the
-same message is one md_hash plus a short second chain.  digest_bits is one
+that goes in and comes out through the BitVector slots.  _padded_blocks,
+the chain's first step, builds the padded stream as one int and reads it
+back one s-byte group (eight blocks) at a time.  forge_mcfsc on the same
+message is one md_hash plus a short second chain.  digest_bits is one
 SHA-256 plus a bytes -> BitVector conversion.  load_public_key of a 40x1024
 key is the header checks, one hex row -> BitVector conversion per matrix
 row and the public key's hash configuration.
@@ -17,7 +19,14 @@ import random
 import pytest
 
 from cfslab.attacks import forge_mcfsc
-from cfslab.codehash import HashConfig, compress, digest_bits, md_final_state, md_hash
+from cfslab.codehash import (
+    HashConfig,
+    _padded_blocks,
+    compress,
+    digest_bits,
+    md_final_state,
+    md_hash,
+)
 from cfslab.keyfiles import load_public_key, save_public_key
 from cfslab.linalg import BitVector
 from cfslab.schemes import cfs_keygen, mcfsc_keygen
@@ -49,6 +58,12 @@ def test_md_final_state_8k(benchmark, h_pub, msg_8k):
     cfg = HashConfig(h_pub, 4)
     benchmark.group = "md_final_state m=10,w=4, 8 KiB"
     assert benchmark(md_final_state, msg_8k, cfg).n == cfg.s
+
+
+def test_padded_blocks_8k(benchmark, h_pub, msg_8k):
+    cfg = HashConfig(h_pub, 4)
+    benchmark.group = "_padded_blocks m=10,w=4, 8 KiB"
+    assert len(benchmark(_padded_blocks, msg_8k, cfg)) == -(-(8 * 8192 + 65) // cfg.s)
 
 
 def test_compress(benchmark, h_pub):

@@ -16,11 +16,15 @@ Conventions the paper-free file formats rely on:
     s bits and XORs the block into it.
 
 The chain runs on ints packed like a BitVector (bit i = coordinate i).
-`_padded_blocks` returns the s-bit blocks as such ints and `md_final_state`
-XORs each into the state.  Each compression is one call of the module-level
-`compress`, so metering and anything that wraps it see every block: the
-state goes in wrapped in an unchecked BitVector (`linalg._bitvector`) and
-the r-bit output comes back masked to its low s bits, which is the
+`_padded_blocks` builds the padded stream as one such int and reads it
+back eight blocks at a time: eight s-bit blocks are exactly s bytes, so
+each group is one `int.from_bytes` and eight shift-and-mask steps, for
+every s.  `md_final_state` XORs each block into the state.  Each
+compression is one call of the module-level `compress`, and no other
+Python function runs per block but its `tick_compression`, so metering and
+anything that wraps `compress` see every block: the state goes in through
+the slots of an unchecked BitVector (`linalg._bitvector`, inlined) and the
+r-bit output's `_bits` come back masked to their low s bits, which is the
 truncation when r > s and the zero extension when r < s.  `compress` reads
 the state's chunks c = log2(l) bits at a time from the low end, i.e.
 little-endian, through per-block pick lists that HashConfig builds once:
@@ -36,8 +40,10 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import BadParameters, DimensionError, WeightBoundViolation
-from .linalg import BitMatrix, BitVector, _bitvector, mat_vec
+from .linalg import BitMatrix, BitVector, _bitvector, _set_bits, _set_n, mat_vec
 from .metering import tick_compression
+
+_new = object.__new__
 
 
 class HashConfig:
@@ -98,14 +104,17 @@ def compress(x: BitVector, cfg: HashConfig) -> BitVector:
     if x.n != cfg.s:
         raise DimensionError(f"state must be {cfg.s} bits, got {x.n}")
     tick_compression()
-    bits = x.to_int()
+    bits = x._bits
     c = cfg.chunk_bits
     mask = cfg.l - 1
     acc = 0
     for picks in cfg._picks:
         acc ^= picks[bits & mask]
         bits >>= c
-    return _bitvector(cfg.r, acc)
+    out = _new(BitVector)  # linalg._bitvector, inlined
+    _set_n(out, cfg.r)
+    _set_bits(out, acc)
+    return out
 
 
 def _padded_blocks(msg: bytes, cfg: HashConfig) -> list[int]:
@@ -113,17 +122,23 @@ def _padded_blocks(msg: bytes, cfg: HashConfig) -> list[int]:
     packed like a BitVector's int.
 
     The stream is one int packed the same way, built by the byte codec of
-    `linalg`; its binary string lists stream positions last to first, so
-    block i is a base-2 parse of the s characters ending s*i from the end.
+    `linalg`, and its little-endian bytes list stream bits 8j..8j+7 in byte
+    j.  Eight s-bit blocks span exactly s bytes, so the stream is read one
+    s-byte group at a time: one `int.from_bytes` per group, then eight
+    shift-and-mask steps, whatever s is.  The last group is zero-filled and
+    its blocks past the stream's end are dropped.
     """
     s = cfg.s
     nbits = 8 * len(msg)
     pos = nbits + 1 + (-(nbits + 65)) % s  # where the length field starts
     acc = BitVector.from_bytes(msg, nbits).to_int() | 1 << nbits
     acc |= BitVector.from_bytes(nbits.to_bytes(8, "big"), 64).to_int() << pos
-    end = pos + 64
-    text = format(acc, f"0{end}b")
-    return [int(text[i - s : i], 2) for i in range(end, 0, -s)]
+    count = (pos + 64) // s
+    data = acc.to_bytes(s * -(-count // 8), "little")
+    mask = (1 << s) - 1
+    shifts = range(0, 8 * s, s)
+    groups = [int.from_bytes(data[i : i + s], "little") for i in range(0, len(data), s)]
+    return [group >> shift & mask for group in groups for shift in shifts][:count]
 
 
 def md_hash(msg: bytes, cfg: HashConfig) -> BitVector:
@@ -139,7 +154,11 @@ def md_final_state(msg: bytes, cfg: HashConfig) -> BitVector:
     blocks = iter(_padded_blocks(msg, cfg))
     state = next(blocks)  # the all-zero initial state XOR the first block
     for block in blocks:
-        state = (compress(_bitvector(s, state), cfg).to_int() & mask) ^ block
+        x = _new(BitVector)  # linalg._bitvector, inlined
+        _set_n(x, s)
+        _set_bits(x, state)
+        # the module-level compress, looked up per block: a wrapper sees each one
+        state = (compress(x, cfg)._bits & mask) ^ block
     return _bitvector(s, state)
 
 

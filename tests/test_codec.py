@@ -1,7 +1,8 @@
 """The byte codec and the Merkle-Damgard chain against references.
 
 `BitVector.from_bytes`/`to_bytes` and `codehash._padded_blocks` compute the
-MSB-first bit order with a bit-reversal table and Python's int codec, and
+MSB-first bit order with a bit-reversal table and Python's int codec (the
+padding reads its stream eight blocks, i.e. s bytes, at a time), and
 `md_final_state` runs the chain on ints through `compress`'s pick lists.
 The reference functions below follow each convention as it is stated: the
 codec and the padding one bit at a time, and the compression chunk by chunk
@@ -82,8 +83,10 @@ def _cfg(m: int, w: int) -> HashConfig:
 
 
 # (m, w): s = 32 at m=10,w=4; s not a multiple of 8 (18, 10, 12, 5, 7);
-# w = 1; and one-bit chunks (s = w = 16)
-SHAPES = [(10, 4), (10, 2), (10, 1), (5, 4), (5, 1), (5, 16), (7, 1)]
+# w = 1; one-bit chunks (s = w = 16); and blocks wider than the 64-bit
+# length field (s = 96, 256), where the message's last bits, the 1 and the
+# length can share one block and a short message fits in one 8-block group
+SHAPES = [(10, 4), (10, 2), (10, 1), (5, 4), (5, 1), (5, 16), (7, 1), (10, 16), (10, 64)]
 LENGTHS = list(range(301)) + [1000, 4093, 8192]
 
 

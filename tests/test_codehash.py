@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cfslab import codehash
 from cfslab.codehash import (
     BoundedWeightEncoder,
     HashConfig,
@@ -17,6 +18,7 @@ from cfslab.codehash import (
 from cfslab.errors import BadParameters, DimensionError, WeightBoundViolation
 from cfslab.goppa import goppa_keygen, patterson_decode
 from cfslab.linalg import BitMatrix, BitVector, Permutation, mat_vec
+from cfslab.metering import count_operations
 from oracles import from_bits
 
 
@@ -127,6 +129,33 @@ def test_md_hash_across_state_sizes():
             assert md_hash(msg, cfg) == compress(md_final_state(msg, cfg), cfg)
             assert md_final_state(msg, cfg).n == cfg.s
             assert md_hash(msg, cfg).n == cfg.r
+
+
+def test_every_block_goes_through_the_module_compress(monkeypatch):
+    """A message of k padded blocks costs md_final_state k - 1 calls of the
+    module-level `compress` and md_hash k, each equal to the metered tally:
+    what a wrapper of `codehash.compress` (a tracer, say) counts is every
+    compression the chain makes."""
+    calls = []
+
+    def counting(x, cfg):
+        calls.append(x.n)
+        return compress(x, cfg)
+
+    monkeypatch.setattr(codehash, "compress", counting)
+    rng = random.Random(16)
+    for r, n, w in ((12, 16, 2), (40, 1024, 4), (16, 1024, 64)):
+        cfg = random_cfg(r, n, w, seed=n + w)
+        for length in (0, 1, 7, 8, 9, 100, 1000):
+            msg = rng.randbytes(length)
+            k = len(codehash._padded_blocks(msg, cfg))
+            assert k == -(-(8 * length + 65) // cfg.s)
+            for fn, expected in ((md_final_state, k - 1), (md_hash, k)):
+                calls.clear()
+                with count_operations() as cost:
+                    fn(msg, cfg)
+                assert calls == [cfg.s] * expected
+                assert cost.compressions == expected
 
 
 def test_md_hash_deterministic_and_length_sensitive(cfg16):
