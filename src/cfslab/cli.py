@@ -106,7 +106,7 @@ def _cmd_recover_perm(args) -> int:
     if scheme != pk_scheme:
         raise CfsLabError("key files belong to different schemes")
     rec = attacks.recover_permutation(sk.code.h, pk.h_pub)
-    consistent = rec.perm.permute_columns(sk.code.h) == pk.h_pub
+    consistent = sk.code.permuted_h(rec.perm) == pk.h_pub
     print(
         json.dumps(
             {

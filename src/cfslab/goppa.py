@@ -14,10 +14,11 @@ is.  Keygen's support is the whole field, shuffled, so n = 2^m and
 n - k = m*t once the expansion has full rank; rank-deficient draws are
 thrown away and regenerated.
 
-A public key's H*P is built the same way, on the support taken in P's
-order (`GoppaCode._permuted_h`): column j of H*P is the column of
-support[P.mapping[j]], so its rows come out of the build directly and no
-column list of H is transposed and permuted back.
+`GoppaCode.permuted_h(P)` builds H*P the same way, on the support taken
+in P's order: column j of H*P is the column of support[P.mapping[j]], so
+its rows come out of the build directly and no column list of H is
+transposed and permuted back.  It is the only H*P in the package: every
+public key's, and the one `cfslab recover-perm` checks a recovered P with.
 
 The decoder's root search reads the same planes back, and one block more:
 the build takes Y_j = X * Y_(j-1) one step past H, to Y_t = x^t / g(x).
@@ -109,7 +110,7 @@ class GoppaCode:
         """The parity-check matrix whose rows are the t blocks of planes."""
         return BitMatrix(self.n_minus_k, self.n, [row for y in planes for row in y])
 
-    def _permuted_h(self, perm: Permutation) -> BitMatrix:
+    def permuted_h(self, perm: Permutation) -> BitMatrix:
         """H * P, built as H is but on the support in P's order: column j of
         H * P is column mapping[j] of H, the column of support[mapping[j]].
         DimensionError unless P permutes n coordinates."""

@@ -12,20 +12,20 @@ Matrices have no text form here; the key files write one as a hex row
 per line (`keyfiles`).
 The same trick transposes: `transpose_bits` lays the values out as bytes
 and reads each output row as one strided slice turned into a binary
-numeral, so columns, column permutations and the Goppa build never loop
-per bit.
+numeral, so columns and the Goppa build never loop per bit.
 
 A matrix's columns are computed once: `columns()` transposes on its first
-call and keeps the tuple, and `permute_columns` hands its result the
-columns it picked.  `mat_vec` and `codehash.HashConfig` read that same
-tuple.  Keygen builds H_pub from rows (`goppa.GoppaCode._permuted_h`), so
-its list is transposed by whichever reads it first: `HashConfig` at set-up
-for mcfsc and tilde, the first verify for cfs and mcfs.  A column list
-costs ~0.4-1 ms to transpose at 40 x 1024 and ~0.06-0.13 s at 144 x 65536
-(m = 16), where it holds ~3.3 MiB.
+call and keeps the tuple, which `mat_vec` and `codehash.HashConfig` read.
+No matrix is handed a column list: H*P is built from rows
+(`goppa.GoppaCode.permuted_h`), so a public key's list is transposed by
+whichever reads it first: `HashConfig` at set-up for mcfsc and tilde, the
+first verify for cfs and mcfs.  A column list costs ~0.4-1 ms to transpose
+at 40 x 1024 and ~0.06-0.13 s at 144 x 65536 (m = 16), where it holds
+~3.3 MiB.
 
 `inverse` keeps its result on the matrix as well, "singular" included, so
-the draw `rand_invertible` accepts carries its S^-1 to `Scheme.from_parts`.
+S^-1 lives on S alone: the draw `rand_invertible` accepts carries it to the
+secret key's invertibility check, and every signature reads it from there.
 
 `mat_vec` reads a matrix through a table: a matrix of at most 256 columns
 (every scrambler inverse S^-1, H and H_pub at m <= 8) gets "four
@@ -303,16 +303,6 @@ class Permutation:
             acc |= 1 << inv[low.bit_length() - 1]
             bits ^= low
         return BitVector(self.n, acc)
-
-    def permute_columns(self, mat: BitMatrix) -> BitMatrix:
-        """H * P: column j of the result is column mapping[j] of H.  The
-        result keeps the columns it was built from as its `columns()`."""
-        if mat.cols != self.n:
-            raise DimensionError("column count mismatch in permutation")
-        picked = tuple(map(mat.columns().__getitem__, self.mapping))
-        out = BitMatrix(mat.rows, mat.cols, transpose_bits(picked, mat.rows))
-        _set_columns(out, picked)
-        return out
 
     def inverse(self) -> "Permutation":
         return Permutation(self._inverse)

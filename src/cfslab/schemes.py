@@ -9,6 +9,12 @@ the public-key type and what the scheme's files carry.  One signing loop,
 == H_pub * e, from public data only), both read the record's digest.
 Counters and nonces are bound into the hash as big-endian fields of
 `counter_width(n-k)` bytes so that message/counter splits are unambiguous.
+
+cfs and mcfs hash with SHA-256 (`message_hash`); their key files keep a
+`hash_id` line, which must read "sha256".  A `SecretKey` holds the code,
+P, the public key and, if the scheme scrambles, S.  Its constructor is the
+one gate for S however the key is made, and S^-1 stays on S
+(`linalg.inverse`): one elimination per S, read back by every signature.
 """
 
 from __future__ import annotations
@@ -29,10 +35,6 @@ from .codehash import (
 from .errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
 from .goppa import GoppaCode, check_parameters, goppa_keygen, patterson_decode
 from .linalg import BitMatrix, BitVector, Permutation, inverse, mat_mul, mat_vec, rand_invertible
-
-# generic digests usable as the counter-scheme hash h; output width is a
-# free parameter, so anything XOF-like fits
-GENERIC_HASHES = {"sha256": digest_bits}
 
 DEFAULT_ATTEMPT_CAP = 1 << 20
 
@@ -58,10 +60,9 @@ def draw_nonce(rng, r: int) -> int:
     return rng.randrange(1, (1 << r) + 1)
 
 
-def message_hash(msg: bytes, counter: int, nbits: int, hash_id: str = "sha256") -> BitVector:
-    """The generic signing hash h(msg || counter), nbits wide."""
-    fn = registered(GENERIC_HASHES, hash_id, "generic hash id")
-    return fn(msg + _counter_bytes(counter, nbits), nbits)
+def message_hash(msg: bytes, counter: int, nbits: int) -> BitVector:
+    """The counter-scheme hash h(msg || counter), nbits of SHA-256."""
+    return digest_bits(msg + _counter_bytes(counter, nbits), nbits)
 
 
 def _check_shape(h_pub: BitMatrix, t: int) -> None:
@@ -76,14 +77,18 @@ def _check_shape(h_pub: BitMatrix, t: int) -> None:
 @dataclass(frozen=True)
 class SecretKey:
     """The Goppa trapdoor every scheme shares: the code, the permutation P
-    and, if the scheme scrambles, S and its inverse.  The scheme's header
-    fields and hash configuration are read off the public key `pk`."""
+    and, if the scheme scrambles, S.  The scheme's header fields and hash
+    configuration are read off the public key `pk`.  BadParameters unless
+    S is invertible; its inverse stays on S (`linalg.inverse`)."""
 
     code: GoppaCode
     perm: Permutation
     pk: CfsPublicKey | McfscPublicKey | TildePublicKey
     scrambler: BitMatrix | None = None
-    scrambler_inv: BitMatrix | None = None
+
+    def __post_init__(self):
+        if self.scrambler is not None and inverse(self.scrambler) is None:
+            raise BadParameters("scrambler is singular")
 
 
 # --------------------------------------------------------------------------
@@ -99,7 +104,8 @@ class CfsPublicKey:
 
     def __post_init__(self):
         _check_shape(self.h_pub, self.t)
-        registered(GENERIC_HASHES, self.hash_id, "generic hash id")
+        if self.hash_id != "sha256":
+            raise BadParameters(f"unknown generic hash id {self.hash_id!r}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,9 @@ class TildeSignature:
     error: BitVector
 
 
-def cfs_keygen(m: int, t: int, rng, hash_id: str = "sha256") -> tuple[SecretKey, CfsPublicKey]:
+def cfs_keygen(m: int, t: int, rng) -> tuple[SecretKey, CfsPublicKey]:
     """Goppa code, random scrambler S and permutation P; public H = S*H*P."""
-    return CFS.keygen(m, t, rng, hash_id=hash_id)
+    return CFS.keygen(m, t, rng)
 
 
 def cfs_sign(msg: bytes, sk: SecretKey, max_attempts: int = DEFAULT_ATTEMPT_CAP) -> CfsSignature:
@@ -296,21 +302,17 @@ class Scheme:
 
     def from_parts(self, code: GoppaCode, perm: Permutation, scrambler=None, **fields):
         """(sk, pk) from a code, a permutation P, S if the scheme scrambles,
-        and the header fields; BadParameters unless S is invertible (S^-1 is
-        read from `inverse`, which a keygen'd S already ran) and the
-        public-key type takes H_pub = S * (H * P); DimensionError unless P
+        and the header fields; BadParameters unless the public-key type takes
+        H_pub = S * (H * P) and `SecretKey` takes S; DimensionError unless P
         has n coordinates."""
         if (scrambler is None) == self.scrambled:
             need = "needs" if self.scrambled else "takes no"
             raise BadParameters(f"{self.name} {need} scrambler")
-        h_pub, s_inv = code._permuted_h(perm), None
+        h_pub = code.permuted_h(perm)
         if scrambler is not None:
-            s_inv = inverse(scrambler)
-            if s_inv is None:
-                raise BadParameters("scrambler is singular")
             h_pub = mat_mul(scrambler, h_pub)
         pk = self.public_key_type(h_pub, code.t, **fields)
-        return SecretKey(code, perm, pk, scrambler, s_inv), pk
+        return SecretKey(code, perm, pk, scrambler), pk
 
     def keygen(self, m: int, t: int, rng, **fields):
         """Draws the code, then S (if the scheme scrambles), then P: the RNG
@@ -327,10 +329,11 @@ class Scheme:
         counters = range(max_attempts if self.retries else 1)
         if self.counter == "nonce":
             counters = (draw_nonce(rng, sk.code.n_minus_k) for _ in counters)
+        s_inv = None if sk.scrambler is None else inverse(sk.scrambler)
         for c in counters:
             digest = self.digest(msg, c, sk.pk)
-            if sk.scrambler_inv is not None:
-                digest = mat_vec(sk.scrambler_inv, digest)
+            if s_inv is not None:
+                digest = mat_vec(s_inv, digest)
             e = patterson_decode(sk.code, digest)
             if e is not None:
                 fields = {} if self.counter is None else {self.counter: c}
@@ -348,11 +351,11 @@ class Scheme:
 
 CFS = Scheme(
     "cfs", "counter", ("hash_id",), True, CfsSignature, CfsPublicKey,
-    retries=True, digest=lambda msg, c, pk: message_hash(msg, c, pk.h_pub.rows, pk.hash_id),
+    retries=True, digest=lambda msg, c, pk: message_hash(msg, c, pk.h_pub.rows),
 )
 MCFS = Scheme(
     "mcfs", "nonce", ("hash_id",), True, McfsSignature, CfsPublicKey,
-    retries=True, digest=lambda msg, c, pk: message_hash(msg, c, pk.h_pub.rows, pk.hash_id),
+    retries=True, digest=lambda msg, c, pk: message_hash(msg, c, pk.h_pub.rows),
 )
 MCFSC = Scheme(
     "mcfsc", "nonce", ("w",), False, McfsSignature, McfscPublicKey,
