@@ -12,16 +12,21 @@ error that no counter was decoded for, so verify must reject it; what the
 step times is the first product by H_pub, which transposes its column
 list (keygen builds H_pub from rows).
 
-The code-hash step builds one mcfsc key per rung from the same seed, with
-w = 2 (w = 1 at t = 2, since w < t), and times `md_final_state` and
-`forge_mcfsc` on one fixed 8 KiB message, REPEAT times each: the
+The code-hash step builds one mcfsc key and one tilde key (regular
+encoder, md-stopped inner hash) per rung from the same seed, with w = 2
+(w = 1 at t = 2, since w < t), and times `md_final_state`, `forge_mcfsc`
+and `forge_tilde` on one fixed 8 KiB message, REPEAT times each: the
 Merkle-Damgard chain at every field size.  Every forgery must verify and
-must have cost no decoder call; a failed check exits non-zero and names the
-rung.
+must have cost no decoder call, and an mcfsc forgery must make exactly one
+compression fewer than an honest `mcfsc_sign` of the same message and
+nonce, counted in its own `count_operations` scope.  A failed check exits
+non-zero and names the rung.
 
-The JSON written to `--out` holds each time in seconds, their median, the
-key file sizes, the hash state size s and the interpreter and machine it
-ran on; a summary table goes to stdout.
+The JSON written to `--out` holds each time in seconds, their median and
+their minimum, the key file sizes, the hash state size s and the
+interpreter and machine it ran on; a summary table of the minima goes to
+stdout.  On a shared machine the median of REPEAT runs swings up to 2x
+between runs of the same code, the minimum much less.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from cfslab import attacks, keyfiles, schemes  # noqa: E402  (needs the path above)
 from cfslab.codehash import md_final_state  # noqa: E402
 from cfslab.linalg import BitVector  # noqa: E402
+from cfslab.metering import count_operations  # noqa: E402
 
 # t per rung: m*t < 2^m everywhere; m=5,t=3 and m=10,t=4 are the benchmark
 # workloads' cfs keys, and t stops at 9 where retry signing (~t! decodes)
@@ -50,11 +56,17 @@ from cfslab.linalg import BitVector  # noqa: E402
 RUNGS = [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 4), (11, 6), (12, 8),
          (13, 8), (14, 9), (15, 9), (16, 9)]
 SETUP_STEPS = ("keygen", "first_verify", "save", "load_secret_key", "load_public_key")
-HASH_STEPS = ("md_final_state", "forge_mcfsc")
+HASH_STEPS = ("md_final_state", "forge_mcfsc", "forge_tilde")
 STEPS = SETUP_STEPS + HASH_STEPS
 SEED = 7
 REPEAT = 5
 MESSAGE = random.Random(SEED).randbytes(8192)
+
+
+def check(ok: bool, m: int, t: int, what: str) -> None:
+    """One of the paper's checks at a rung: exits non-zero, naming the rung."""
+    if not ok:
+        raise SystemExit(f"m={m}, t={t}: {what}")
 
 
 def time_rung(m: int, t: int, workdir: str) -> dict:
@@ -67,8 +79,7 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         keygen = perf_counter()
         accepted = schemes.cfs_verify(b"ladder", unsigned, pk)
         verified = perf_counter()
-        if accepted:
-            raise AssertionError(f"m={m}, t={t}: verify accepted an error that was never signed")
+        check(not accepted, m, t, "verify accepted an error that was never signed")
         keyfiles.save_secret_key(sk, "cfs", sk_path)
         keyfiles.save_public_key(pk, "cfs", pk_path)
         saved = perf_counter()
@@ -76,12 +87,15 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         loaded = perf_counter()
         _, loaded_pk = keyfiles.load_public_key(pk_path)
         done = perf_counter()
-        if loaded_sk.pk != pk or loaded_pk != pk:
-            raise AssertionError(f"m={m}, t={t}: the reloaded key differs")
+        check(loaded_sk.pk == pk and loaded_pk == pk, m, t, "the reloaded key differs")
         marks = (start, keygen, verified, saved, loaded, done)
         for step, begin, end in zip(SETUP_STEPS, marks, marks[1:]):
             times[step].append(end - begin)
-    _, mcfsc_pk = schemes.mcfsc_keygen(m, t, 2 if t > 2 else 1, random.Random(SEED))
+    w = 2 if t > 2 else 1
+    mcfsc_sk, mcfsc_pk = schemes.mcfsc_keygen(m, t, w, random.Random(SEED))
+    _, tilde_pk = schemes.tilde_keygen(
+        m, t, w, random.Random(SEED), encoder_id="regular", hash_id="md-stopped"
+    )
     cfg = mcfsc_pk.cfg
     for _ in range(REPEAT):
         start = perf_counter()
@@ -89,12 +103,22 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         chained = perf_counter()
         forgery = attacks.forge_mcfsc(MESSAGE, mcfsc_pk, random.Random(SEED))
         forged = perf_counter()
-        if not schemes.mcfsc_verify(MESSAGE, forgery.signature, mcfsc_pk):
-            raise AssertionError(f"m={m}, t={t}: the mcfsc forgery does not verify")
-        if forgery.cost.decode_calls:
-            raise AssertionError(f"m={m}, t={t}: the mcfsc forgery called the decoder")
+        tilde_forgery = attacks.forge_tilde(MESSAGE, tilde_pk)
+        tilde_forged = perf_counter()
+        for scheme, public, f in (("mcfsc", mcfsc_pk, forgery), ("tilde", tilde_pk, tilde_forgery)):
+            check(schemes.SCHEMES[scheme].verify(MESSAGE, f.signature, public), m, t,
+                  f"the {scheme} forgery does not verify")
+            check(not f.cost.decode_calls, m, t, f"the {scheme} forgery called the decoder")
         times["md_final_state"].append(chained - start)
         times["forge_mcfsc"].append(forged - chained)
+        times["forge_tilde"].append(tilde_forged - forged)
+    # the same nonce as the forgeries; its own scope, since nested scopes
+    # can drop the outer tally
+    with count_operations() as honest:
+        schemes.mcfsc_sign(MESSAGE, mcfsc_sk, random.Random(SEED))
+    check(forgery.cost.compressions == honest.compressions - 1, m, t,
+          f"the mcfsc forgery made {forgery.cost.compressions} compressions, "
+          f"the honest signer {honest.compressions}")
     return {
         "m": m,
         "t": t,
@@ -105,6 +129,7 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         "pk_bytes": os.path.getsize(pk_path),
         **{f"{step}_s": values for step, values in times.items()},
         **{f"{step}_s_median": statistics.median(values) for step, values in times.items()},
+        **{f"{step}_s_min": min(values) for step, values in times.items()},
     }
 
 
@@ -113,19 +138,22 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     args = parser.parse_args(argv)
     rungs = []
-    print(f"{'m':>3} {'t':>2} " + " ".join(f"{step + ' ms':>20}" for step in STEPS))
+    print(f"{'m':>3} {'t':>2} " + " ".join(f"{step + ' min ms':>24}" for step in STEPS))
     with tempfile.TemporaryDirectory() as workdir:
         for m, t in RUNGS:
             rung = time_rung(m, t, workdir)
             rungs.append(rung)
-            medians = " ".join(f"{rung[step + '_s_median'] * 1e3:20.3f}" for step in STEPS)
-            print(f"{m:>3} {t:>2} {medians}", flush=True)
+            minima = " ".join(f"{rung[step + '_s_min'] * 1e3:24.3f}" for step in STEPS)
+            print(f"{m:>3} {t:>2} {minima}", flush=True)
     record = {
         "what": "cfs key set-up per rung: keygen, the first verify against keygen's public key "
         "(an unsigned weight-t error, rejected), save (secret and public), load_secret_key, "
-        "load_public_key; then, on an mcfsc key with w = 2 (w = 1 at t = 2), md_final_state "
-        "and forge_mcfsc of one 8 KiB message (each forgery verified, decode-free); seconds, "
-        "one fixed seed, medians over the repeats",
+        "load_public_key; then, on an mcfsc and a tilde key (regular encoder, md-stopped) with "
+        "w = 2 (w = 1 at t = 2), md_final_state, forge_mcfsc and forge_tilde of one 8 KiB "
+        "message (each forgery verified and decode-free; the mcfsc forgery makes one "
+        "compression fewer than an honest mcfsc_sign); seconds, one fixed seed, each step's "
+        "samples with their median and their minimum, since the median of the repeats swings "
+        "up to 2x between runs of the same code on a shared machine",
         "command": " ".join(["python3", "bench/ladder.py", *(sys.argv[1:] if argv is None else argv)]),
         "seed": SEED,
         "repeat": REPEAT,

@@ -1,8 +1,9 @@
 """The bit transpose where key set-up and signing use it, and mat_vec.
 
-HashConfig reads the public matrix column by column, permute_columns builds
-H * P, the GoppaCode constructor turns each block of n field values into m
-rows, and every signature permutes its error once with Permutation.apply.
+HashConfig reads the public matrix column by column, GoppaCode.permuted_h
+builds H * P on the permuted support, the GoppaCode constructor turns each
+block of n field values into m rows, and every signature permutes its error
+once with Permutation.apply.
 
 mat_vec is timed on the four shapes signing and verifying send it, with the
 matrix's table already built, and the first product, which builds the table,
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from cfslab.codehash import HashConfig
+from cfslab.goppa import goppa_keygen
 from cfslab.linalg import (
     BitMatrix,
     BitVector,
@@ -44,11 +46,11 @@ def test_transpose_65536x16(benchmark):
     assert len(benchmark(transpose_bits, values, 16)) == 16
 
 
-def test_permute_columns_40x1024(benchmark):
-    h = _matrix(40, 1024, 32)  # H at m=10, t=4
+def test_permuted_h_m10_t4(benchmark):
+    code = goppa_keygen(10, 4, random.Random(32))  # H * P is 40 x 1024
     p = Permutation.random(1024, random.Random(33))
-    benchmark.group = "permute_columns 40 x 1024"
-    assert benchmark(p.permute_columns, h).rows == 40
+    benchmark.group = "GoppaCode.permuted_h m=10, t=4"
+    assert benchmark(code.permuted_h, p).rows == 40
 
 
 def test_apply_weight4_n1024(benchmark):

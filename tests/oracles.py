@@ -1,8 +1,9 @@
 """Plain constructions that the tests state facts with and `cfslab` itself
 never needs: vectors from bit strings, the transpose, the row-parity matrix
-product, the per-position Goppa parity-check build, permutation matrices,
-kernel bases, rank by an XOR basis and the random invertible matrix it
-accepts, and a quadratic with no root in the field."""
+product, the per-position Goppa parity-check build, column permutation by
+picking columns, permutation matrices, kernel bases, rank by an XOR basis
+and the random invertible matrix it accepts, and a quadratic with no root
+in the field."""
 
 from cfslab.errors import DimensionError
 from cfslab.gf2m import GF2m, Poly
@@ -59,6 +60,16 @@ def parity_check_rows(g: Poly, support) -> list[int]:
             values[zero] = 0
         rows += transpose_bits(values, m)
     return rows
+
+
+def permute_columns(mat: BitMatrix, p: Permutation) -> BitMatrix:
+    """Reference for `GoppaCode.permuted_h`: H * P, whose column j is column
+    mapping[j] of H, by transposing H, picking its rows and transposing back."""
+    if mat.cols != p.n:
+        raise DimensionError("column count mismatch in permutation")
+    columns = transpose(mat)
+    picked = [columns.row(src).to_int() for src in p.mapping]
+    return BitMatrix(mat.rows, mat.cols, transpose_bits(picked, mat.rows))
 
 
 def as_matrix(p: Permutation) -> BitMatrix:

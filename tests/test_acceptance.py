@@ -166,7 +166,7 @@ def test_c7_permutation_recovery(acceptance_log):
         for _ in range(100):
             code = goppa_keygen(4, 3, rng)
             perm = Permutation.random(code.n, rng)
-            h_pub = perm.permute_columns(code.h)
+            h_pub = code.permuted_h(perm)
             rec = recover_permutation(code.h, h_pub)
             assert rec.perm == perm
             assert not rec.ambiguous

@@ -25,6 +25,7 @@ from cfslab.schemes import (
     tilde_verify,
     _counter_bytes,
 )
+from oracles import permute_columns
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +133,7 @@ def test_recover_permutation_round_trips():
     for trial in range(30):
         code = goppa_keygen(4, 3, random.Random(500 + trial))
         p = Permutation.random(16, random.Random(600 + trial))
-        rec = recover_permutation(code.h, p.permute_columns(code.h))
+        rec = recover_permutation(code.h, code.permuted_h(p))
         assert rec.perm == p
         assert not rec.ambiguous
         assert rec.comparisons <= 16 * 16
@@ -151,9 +152,9 @@ def test_recover_permutation_duplicate_columns_flagged():
     rows = [rng.getrandbits(6) for _ in range(5)]
     base = BitMatrix(5, 6, [(r & ~1) | ((r >> 1) & 1) for r in rows])  # col0 = col1
     p = Permutation.random(6, rng)
-    rec = recover_permutation(base, p.permute_columns(base))
+    rec = recover_permutation(base, permute_columns(base, p))
     assert rec.ambiguous
-    assert rec.perm.permute_columns(base) == p.permute_columns(base)
+    assert permute_columns(base, rec.perm) == permute_columns(base, p)
 
 
 def test_recover_permutation_rejects_unrelated():

@@ -26,7 +26,7 @@ from oracles import from_bits
 def cfg16():
     """n=16, w=2: l=8, s=6, r=12 -- the worked-example configuration."""
     code = goppa_keygen(4, 3, random.Random(201))
-    h_pub = Permutation.random(16, random.Random(202)).permute_columns(code.h)
+    h_pub = code.permuted_h(Permutation.random(16, random.Random(202)))
     return HashConfig(h_pub, 2)
 
 

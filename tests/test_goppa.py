@@ -14,8 +14,8 @@ from cfslab.goppa import (
     goppa_keygen,
     patterson_decode,
 )
-from cfslab.linalg import BitVector, Permutation, mat_vec, rank
-from oracles import kernel_basis, parity_check_rows, rootless_quadratic
+from cfslab.linalg import BitVector, Permutation, mat_mul, mat_vec, rank
+from oracles import as_matrix, kernel_basis, parity_check_rows, permute_columns, rootless_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +438,7 @@ def test_build_matches_exp_log_oracle_on_any_code(m, t):
             assert GoppaCode(g, support).h._rows == parity_check_rows(g, list(support))
 
 
-# --- H * P on the permuted support, against the column round trip -----------
+# --- H * P on the permuted support, against the column pick and the product --
 
 PERMUTED_PARAMS = [(3, 2), (4, 2), (5, 3), (8, 3), (10, 4), (12, 8)]
 
@@ -456,9 +456,9 @@ def test_permuted_h_matches_permute_columns(m, t):
         for support in (code.support, subset):
             part = GoppaCode(g, support)
             for perm in (Permutation.identity(part.n), Permutation.random(part.n, rng)):
-                hp = part._permuted_h(perm)
-                assert hp == perm.permute_columns(part.h)
+                hp = part.permuted_h(perm)
+                assert hp == permute_columns(part.h, perm) == mat_mul(part.h, as_matrix(perm))
                 assert (hp.rows, hp.cols) == (m * t, part.n)
             for wrong in (part.n - 1, part.n + 1):
                 with pytest.raises(DimensionError):
-                    part._permuted_h(Permutation.random(wrong, rng))
+                    part.permuted_h(Permutation.random(wrong, rng))

@@ -1,0 +1,35 @@
+"""`bench/ladder.py` runs end to end on its two smallest rungs.
+
+The ladder is opt-in and not collected by pytest, so this is what notices a
+rename in `cfslab` it calls or a paper check of its that no longer holds.
+It is loaded by path, as `test_traced_names.py` loads perfbench's tracer.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+LADDER = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+
+
+def _ladder_module():
+    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_runs_its_checks_on_the_smallest_rungs(tmp_path, monkeypatch):
+    ladder = _ladder_module()
+    monkeypatch.setattr(ladder, "RUNGS", [(4, 2), (5, 3)])
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--out", str(out)]) == 0
+    rungs = json.loads(out.read_text())["rungs"]
+    assert [(r["m"], r["t"]) for r in rungs] == [(4, 2), (5, 3)]
+    assert "forge_tilde" in ladder.STEPS
+    for rung in rungs:
+        for step in ladder.STEPS:
+            samples = rung[f"{step}_s"]
+            assert len(samples) == ladder.REPEAT and min(samples) > 0
+            assert rung[f"{step}_s_min"] == min(samples)
+            assert min(samples) <= rung[f"{step}_s_median"] <= max(samples)

@@ -20,6 +20,7 @@ from cfslab.linalg import (
 from cfslab.metering import count_operations
 from cfslab.schemes import (
     SCHEMES,
+    CfsPublicKey,
     CfsSignature,
     McfsSignature,
     TildeSignature,
@@ -34,13 +35,14 @@ from cfslab.schemes import (
     mcfsc_sign,
     mcfsc_verify,
     message_hash,
+    SecretKey,
     tilde_keygen,
     tilde_sign,
     tilde_verify,
     _counter_bytes,
 )
 
-from oracles import rootless_quadratic
+from oracles import as_matrix, permute_columns, rootless_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +66,7 @@ def tilde_keys():
 def test_cfs_keygen_shapes():
     sk, pk = cfs_keygen(4, 2, random.Random(304))
     assert pk.h_pub.rows == 8 and pk.h_pub.cols == 16
-    assert mat_mul(sk.scrambler, sk.scrambler_inv) == BitMatrix.identity(8)
+    assert mat_mul(sk.scrambler, inverse(sk.scrambler)) == BitMatrix.identity(8)
 
 
 def _header_fields(scheme):
@@ -124,7 +126,7 @@ def test_keygen_keeps_its_public_key(name):
 def test_cfs_key_algebra_round_trip(cfs_keys):
     sk, pk = cfs_keys
     # S^-1 * H_pub * P^-1 recovers the structured matrix
-    recovered = sk.perm.inverse().permute_columns(mat_mul(sk.scrambler_inv, pk.h_pub))
+    recovered = permute_columns(mat_mul(inverse(sk.scrambler), pk.h_pub), sk.perm.inverse())
     assert recovered == sk.code.h
 
 
@@ -149,7 +151,7 @@ def test_cfs_correctness_chain_term_by_term(cfs_keys):
     sig = cfs_sign(msg, sk)
     a = message_hash(msg, sig.counter, sk.code.n_minus_k)
     # the digest the signer decoded
-    e = patterson_decode(sk.code, mat_vec(sk.scrambler_inv, a))
+    e = patterson_decode(sk.code, mat_vec(inverse(sk.scrambler), a))
     assert e is not None
     # S * H * e = digest
     assert mat_vec(mat_mul(sk.scrambler, sk.code.h), e) == a
@@ -265,7 +267,8 @@ def test_mcfsc_keygen_parameters():
 
 def test_mcfsc_public_matrix_has_no_scrambler(mcfsc_keys):
     sk, pk = mcfsc_keys
-    assert pk.h_pub == sk.perm.permute_columns(sk.code.h)
+    assert pk.h_pub == sk.code.permuted_h(sk.perm) == permute_columns(sk.code.h, sk.perm)
+    assert pk.h_pub == mat_mul(sk.code.h, as_matrix(sk.perm))
 
 
 def test_mcfsc_sign_single_decode_weight_w(mcfsc_keys):
@@ -452,7 +455,7 @@ def test_largest_encodable_counter_verifies(cfs_keys, mcfsc_keys):
     for i in range(1000):  # about 1 in t! = 6 digests decodes
         msg = b"top %d" % i
         digest = message_hash(msg, top, pk.h_pub.rows)
-        e = patterson_decode(sk.code, mat_vec(sk.scrambler_inv, digest))
+        e = patterson_decode(sk.code, mat_vec(inverse(sk.scrambler), digest))
         if e is not None:
             break
     error = sk.perm.apply(e)
@@ -463,9 +466,41 @@ def test_largest_encodable_counter_verifies(cfs_keys, mcfsc_keys):
     assert mcfsc_verify(b"top", McfsSignature(top, msk.perm.apply(e)), mpk)
 
 
-def test_scrambler_inverse_consistency(tilde_keys):
-    sk, _ = tilde_keys
-    assert inverse(sk.scrambler) == sk.scrambler_inv
+# --- the secret key's S and the counter-scheme hash --------------------
+
+
+@pytest.mark.parametrize("name", ["cfs", "mcfs", "tilde"])
+def test_a_key_built_directly_signs(name):
+    # S^-1 is read off S, so a key made without from_parts unscrambles its
+    # digests too; so does one whose S is a fresh copy with no cached inverse
+    scheme = SCHEMES[name]
+    sk, pk = scheme.keygen(5, 3, random.Random(1), **_header_fields(scheme))
+    s = sk.scrambler
+    copy = BitMatrix(s.rows, s.cols, [s.row(i).to_int() for i in range(s.rows)])
+    rng = random.Random(2)
+    for key in (SecretKey(sk.code, sk.perm, pk, s), SecretKey(sk.code, sk.perm, pk, copy)):
+        for i in range(10):
+            msg = b"direct %d" % i
+            sig = scheme.sign(msg, key, rng)
+            assert scheme.verify(msg, sig, pk)
+
+
+def test_singular_scrambler_refused_however_the_key_is_made(tilde_keys):
+    sk, pk = tilde_keys
+    singular = BitMatrix(12, 12, [1] * 12)
+    with pytest.raises(BadParameters, match="scrambler is singular"):
+        SecretKey(sk.code, sk.perm, pk, singular)
+    with pytest.raises(BadParameters, match="scrambler is singular"):
+        dataclasses.replace(sk, scrambler=singular)
+    assert dataclasses.replace(sk, scrambler=rand_invertible(12, random.Random(3))).pk is pk
+
+
+def test_counter_schemes_take_sha256_only(cfs_keys):
+    _, pk = cfs_keys
+    assert pk.hash_id == "sha256"
+    for hash_id in ("md-stopped", "md5", None):
+        with pytest.raises(BadParameters, match="unknown generic hash id"):
+            CfsPublicKey(pk.h_pub, pk.t, hash_id=hash_id)
 
 
 # --- n-k > 64: the counter/nonce field widens --------------------------
