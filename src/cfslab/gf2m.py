@@ -366,13 +366,21 @@ def frobenius_mod(h: Poly, f: Poly, k: int) -> Poly:
     return _poly(field, h)
 
 
-def sqrt_x_mod(g: Poly, m: int) -> Poly:
-    """Square root of x in GF(2^m)[x]/(g); g irreducible of degree t.
+def sqrt_x_mod(g: Poly) -> Poly:
+    """Square root of x in GF(2^m)[x]/(g); g irreducible of degree t >= 2.
 
-    The residue field has 2^(m*t) elements, so squaring m*t - 1 times
-    inverts one squaring.
+    Split g by the parity of its exponents, g = g0(x)^2 + x * g1(x)^2,
+    where g0 and g1 take the field square roots of g's even and odd
+    coefficients.  Then g0^2 = x * g1^2 mod g, so sqrt(x) = g0 / g1 mod g:
+    one inverse and one product.  g1 is not zero, since g would then be
+    the square g0^2, and an irreducible g is not; its degree is below g's,
+    so g1 is invertible mod g.
     """
-    return frobenius_mod(Poly.x(g.field), g, m * g.degree - 1)
+    field = g.field
+    sqrt = field._sqrt
+    g0 = _poly(field, [sqrt[c] for c in g.coeffs[0::2]])
+    g1 = _poly(field, [sqrt[c] for c in g.coeffs[1::2]])
+    return (g0 * poly_mod_inv(g1, g)) % g
 
 
 def poly_sqrt_mod_g(f: Poly, g: Poly, sqrt_x: Poly) -> Poly:

@@ -62,8 +62,9 @@ class GoppaCode:
         support = tuple(support)
         if len(set(support)) != len(support):
             raise BadParameters("support elements must be distinct")
-        for x in support:
-            field._check(x)
+        if support:  # an element outside the field is the least or the greatest
+            field._check(min(support))
+            field._check(max(support))
         if g.degree < 2:
             raise BadParameters("Goppa polynomial must have degree at least 2")
         if not _is_irreducible(g):
@@ -79,7 +80,7 @@ class GoppaCode:
         planes = self._planes(support, self.t + 1)
         self.h = self._matrix(planes[: self.t])
         # sqrt(x) mod g, precomputed once for the decoder
-        self._sqrt_x = sqrt_x_mod(g, field.m)
+        self._sqrt_x = sqrt_x_mod(g)
         self._root_table = self._alpha_multiples(planes)
 
     def _planes(self, support, blocks: int) -> list[list[int]]:

@@ -39,8 +39,8 @@ _LABELS = {"encoder_id": "encoder"}
 _PARSERS = {"w": int}
 
 
-def _fmt_field_elems(values) -> str:
-    return " ".join(f"{v:x}" for v in values)
+def _fmt_field_elems(values: tuple[int, ...]) -> str:
+    return " ".join(["%x"] * len(values)) % values
 
 
 def _parse_field_elems(tokens) -> list[int]:

@@ -47,6 +47,8 @@ equality and hashing ignore them.
 
 from __future__ import annotations
 
+import struct
+
 from .errors import DimensionError
 from .metering import tick_matvec
 
@@ -65,10 +67,15 @@ def transpose_bits(values: list[int], width: int) -> list[int]:
     bit i of row b is bit b of values[i]."""
     if not values:
         return [0] * width  # int(b"", 2) would raise
-    nb = (width + 7) // 8
     # int(..., 2) reads the most significant digit first: values[0] goes last
-    data = b"".join([v.to_bytes(nb, "little") for v in reversed(values)])
-    return [int(data[b >> 3 :: nb].translate(_BIT_DIGITS[b & 7]), 2) for b in range(width)]
+    if width <= 16:  # field elements: one struct.pack, little-endian everywhere
+        nb = 1 if width <= 8 else 2
+        data = struct.pack(f"<{len(values)}{'BH'[nb - 1]}", *reversed(values))
+    else:
+        nb = (width + 7) // 8
+        data = b"".join([v.to_bytes(nb, "little") for v in reversed(values)])
+    digits = [data.translate(table) for table in _BIT_DIGITS[: min(width, 8)]]
+    return [int(digits[b & 7][b >> 3 :: nb], 2) for b in range(width)]
 
 
 class BitVector:
@@ -317,7 +324,7 @@ class Permutation:
         return f"Permutation({list(self.mapping)})"
 
     def to_text(self) -> str:
-        return " ".join(str(i) for i in self.mapping)
+        return " ".join(["%d"] * self.n) % self.mapping
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":

@@ -12,9 +12,10 @@ Counters and nonces are bound into the hash as big-endian fields of
 
 cfs and mcfs hash with SHA-256 (`message_hash`); their key files keep a
 `hash_id` line, which must read "sha256".  A `SecretKey` holds the code,
-P, the public key and, if the scheme scrambles, S.  Its constructor is the
-one gate for S however the key is made, and S^-1 stays on S
-(`linalg.inverse`): one elimination per S, read back by every signature.
+P, the public key and, if the scheme scrambles, S.  One gate checks S
+however the key is made: its constructor calls it, and `Scheme.from_parts`
+calls it before building H * P.  S^-1 stays on S (`linalg.inverse`): one
+elimination per S, read back by the second check and by every signature.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .codehash import (
     registered,
     syndrome_hash,
 )
-from .errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
+from .errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError, DimensionError
 from .goppa import GoppaCode, check_parameters, goppa_keygen, patterson_decode
 from .linalg import BitMatrix, BitVector, Permutation, inverse, mat_mul, mat_vec, rand_invertible
 
@@ -74,12 +75,24 @@ def _check_shape(h_pub: BitMatrix, t: int) -> None:
         raise BadParameters(f"H_pub is {h_pub.rows} x {h_pub.cols}, not m*t x 2^m at t={t}")
 
 
+def _check_scrambler(scrambler: BitMatrix | None, r: int) -> None:
+    """The gate for S: r x r (DimensionError) and invertible (BadParameters).
+    The inverse stays on S (`linalg.inverse`), so a second check is a read."""
+    if scrambler is None:
+        return
+    if scrambler.rows != r or scrambler.cols != r:
+        raise DimensionError(f"scrambler is {scrambler.rows} x {scrambler.cols}, not {r} x {r}")
+    if inverse(scrambler) is None:
+        raise BadParameters("scrambler is singular")
+
+
 @dataclass(frozen=True)
 class SecretKey:
     """The Goppa trapdoor every scheme shares: the code, the permutation P
     and, if the scheme scrambles, S.  The scheme's header fields and hash
-    configuration are read off the public key `pk`.  BadParameters unless
-    S is invertible; its inverse stays on S (`linalg.inverse`)."""
+    configuration are read off the public key `pk`.  DimensionError unless
+    S is (n-k) x (n-k), BadParameters unless it is invertible; its inverse
+    stays on S (`linalg.inverse`)."""
 
     code: GoppaCode
     perm: Permutation
@@ -87,8 +100,7 @@ class SecretKey:
     scrambler: BitMatrix | None = None
 
     def __post_init__(self):
-        if self.scrambler is not None and inverse(self.scrambler) is None:
-            raise BadParameters("scrambler is singular")
+        _check_scrambler(self.scrambler, self.code.n_minus_k)
 
 
 # --------------------------------------------------------------------------
@@ -303,11 +315,13 @@ class Scheme:
     def from_parts(self, code: GoppaCode, perm: Permutation, scrambler=None, **fields):
         """(sk, pk) from a code, a permutation P, S if the scheme scrambles,
         and the header fields; BadParameters unless the public-key type takes
-        H_pub = S * (H * P) and `SecretKey` takes S; DimensionError unless P
-        has n coordinates."""
+        H_pub = S * (H * P) and S is invertible; DimensionError unless P has
+        n coordinates and S is (n-k) x (n-k).  S is checked first, so a bad
+        one costs no H * P."""
         if (scrambler is None) == self.scrambled:
             need = "needs" if self.scrambled else "takes no"
             raise BadParameters(f"{self.name} {need} scrambler")
+        _check_scrambler(scrambler, code.n_minus_k)  # before H * P is built
         h_pub = code.permuted_h(perm)
         if scrambler is not None:
             h_pub = mat_mul(scrambler, h_pub)

@@ -285,9 +285,26 @@ def test_poly_mod_inv_of_a_multiple_of_g_is_not_invertible():
             poly_mod_inv(f, g)
 
 
+SQRT_X_PARAMS = [(3, 2), (4, 3), (5, 3), (6, 4), (8, 5), (10, 4), (10, 6), (12, 8), (16, 9)]
+
+
+@pytest.mark.parametrize("m,t", SQRT_X_PARAMS)
+def test_sqrt_x_mod_matches_frobenius(m, t):
+    # one inverse against m*t - 1 squarings, which invert one squaring in
+    # the residue field of 2^(m*t) elements
+    field = GF2m(m)
+    monic = irreducible_g(field, t, seed=m * 100 + t)
+    x = Poly.x(field)
+    for g in (monic, monic.scale(field.order - 1)):  # and a non-monic multiple
+        sx = sqrt_x_mod(g)
+        assert sx == frobenius_mod(x, g, m * t - 1)
+        assert sx.degree < t
+        assert (sx * sx) % g == x % g
+
+
 def test_poly_sqrt_trivial_cases():
     g = irreducible_g(F16, 3, seed=3)
-    sx = sqrt_x_mod(g, F16.m)
+    sx = sqrt_x_mod(g)
     assert poly_sqrt_mod_g(Poly.zero(F16), g, sx).is_zero()
     assert poly_sqrt_mod_g(Poly.one(F16), g, sx) == Poly.one(F16)
 
@@ -296,7 +313,7 @@ def test_poly_sqrt_round_trip():
     rng = random.Random(17)
     for t, seed in ((2, 4), (3, 5), (5, 6)):
         g = irreducible_g(F16, t, seed=seed)
-        sx = sqrt_x_mod(g, F16.m)
+        sx = sqrt_x_mod(g)
         assert (sx * sx) % g == Poly.x(F16) % g
         for _ in range(50):
             f = random_poly(F16, t - 1, rng)

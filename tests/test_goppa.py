@@ -308,6 +308,17 @@ def test_build_rejects_support_outside_field():
             GoppaCode(g, [1, bad])
 
 
+@pytest.mark.parametrize("where", [0, 7, 15])
+@pytest.mark.parametrize("bad", [16, -1])
+def test_build_rejects_an_element_outside_the_field_anywhere(where, bad):
+    # the gate checks the least and the greatest element, and an element
+    # outside [0, 2^m) is always one of them, wherever it stands
+    support = [x for x in range(16) if x != 5]
+    support.insert(where, bad)
+    with pytest.raises(ValueError, match="is not an element of GF"):
+        GoppaCode(rootless_quadratic(GF2m(4)), support)
+
+
 def test_build_empty_support():
     code = GoppaCode(rootless_quadratic(GF2m(4)), [])
     assert (code.n, code.h.rows, code.h.cols) == (0, 8, 0)

@@ -5,10 +5,11 @@ import pytest
 from cfslab.attacks import forge_mcfsc
 from cfslab.cli import run
 from cfslab import goppa
-from cfslab.errors import DimensionError, KeyFormatError
+from cfslab.errors import BadParameters, DimensionError, KeyFormatError
 from cfslab.gf2m import GF2m
-from cfslab.goppa import goppa_keygen
+from cfslab.goppa import GoppaCode, goppa_keygen
 from cfslab.keyfiles import (
+    _fmt_field_elems,
     load_public_key,
     load_secret_key,
     load_signature,
@@ -16,7 +17,7 @@ from cfslab.keyfiles import (
     save_secret_key,
     save_signature,
 )
-from cfslab.linalg import Permutation, inverse, rand_invertible
+from cfslab.linalg import BitMatrix, Permutation, inverse, rand_invertible
 from cfslab.schemes import (
     SCHEMES,
     cfs_keygen,
@@ -113,6 +114,18 @@ def test_keys_from_parts_round_trip(tmp_path, name):
     assert sk2.scrambler == sk.scrambler
     if scheme.scrambled:
         assert inverse(sk2.scrambler) == inverse(sk.scrambler)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_key_lines_match_per_element_formatting(n):
+    # the field-element and P lines, each formatted by one %, against one
+    # f-string per element; 0 and 2^16 - 1 are the shortest and longest hex
+    rng = random.Random(n)
+    values = tuple([0, (1 << 16) - 1][:n] + [rng.getrandbits(rng.randrange(1, 17)) for _ in range(n - 2)])
+    assert _fmt_field_elems(values) == " ".join(f"{v:x}" for v in values)
+    perm = Permutation.random(n, rng)
+    assert perm.to_text() == " ".join(str(i) for i in perm.mapping)
+    assert Permutation.from_text(perm.to_text()) == perm
 
 
 def test_public_loader_rejects_secret_files(tmp_path):
@@ -342,6 +355,27 @@ def good_files(tmp_path_factory):
 
 
 LOADERS = {"sk": load_secret_key, "pk": load_public_key, "sig": load_signature}
+
+
+@pytest.mark.parametrize("how", ["from_parts", "key file"])
+def test_singular_scrambler_refused_before_h_p_is_built(tmp_path, good_files, monkeypatch, how):
+    text = good_files["sk", "cfs"]
+    _, sk = load_secret_key(_write(tmp_path / "good", text))
+    singular = BitMatrix(12, 12, [1] * 12)
+
+    def refused(code, perm):
+        raise AssertionError("H * P built for a singular S")
+
+    monkeypatch.setattr(GoppaCode, "permuted_h", refused)
+    if how == "from_parts":
+        with pytest.raises(BadParameters, match="scrambler is singular"):
+            SCHEMES["cfs"].from_parts(sk.code, sk.perm, singular, hash_id="sha256")
+    else:
+        lines = text.split(b"\n")
+        start = lines.index(b"S 12 12") + 1
+        lines[start : start + 12] = [b"0800"] * 12  # every row is coordinate 4
+        with pytest.raises(KeyFormatError, match="scrambler is singular"):
+            load_secret_key(_write(tmp_path / "bad", b"\n".join(lines)))
 
 
 def test_malformed_files_rejected(tmp_path, good_files):

@@ -248,7 +248,7 @@ def apply_per_bit(p, v):
     return BitVector(p.n, acc)
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 60, 144])
+@pytest.mark.parametrize("width", [0, 1, 2, 7, 8, 9, 15, 16, 17, 60, 144])
 @pytest.mark.parametrize("count", [0, 1, 33, 1024])
 def test_transpose_bits_matches_per_bit(width, count):
     rng = random.Random(width * 10007 + count)
@@ -261,6 +261,13 @@ def test_transpose_bits_matches_per_bit(width, count):
     m = BitMatrix(count, width, values)
     assert m.columns() == tuple(rows)
     assert transpose(m) == BitMatrix(width, count, rows)
+
+
+def test_transpose_bits_matches_per_bit_on_a_whole_m16_support():
+    # one j-block at m = 16: 2^16 two-byte values, the widest packed format
+    values = list(range(1 << 16))
+    random.Random(16).shuffle(values)
+    assert transpose_bits(values, 16) == transpose_per_bit(values, 16)
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 9), (1, 1), (3, 17), (10, 8), (40, 100), (7, 0)])
