@@ -1,5 +1,5 @@
-"""Key set-up and the code-based hash over a ladder of field sizes,
-m = 4..16.  Standard library only; not collected by pytest.
+"""Key set-up, the code-based hash and key recovery over a ladder of field
+sizes, m = 4..16.  Standard library only; not collected by pytest.
 
     python3 bench/ladder.py [--out BENCH_ladder.json]
 
@@ -19,8 +19,13 @@ and `forge_tilde` on one fixed 8 KiB message, REPEAT times each: the
 Merkle-Damgard chain at every field size.  Every forgery must verify and
 must have cost no decoder call, and an mcfsc forgery must make exactly one
 compression fewer than an honest `mcfsc_sign` of the same message and
-nonce, counted in its own `count_operations` scope.  A failed check exits
-non-zero and names the rung.
+nonce, counted in its own `count_operations` scope.
+
+The key-recovery step times `attacks.recover_permutation(H, H_pub)` on the
+rung's mcfsc key (H_pub = H*P), REPEAT times, each on fresh copies of both
+matrices, so that every call transposes both column lists.  The recovered
+permutation must be P, unambiguous, found in at most n^2 comparisons.  A
+failed check exits non-zero and names the rung.
 
 The JSON written to `--out` holds each time in seconds, their median and
 their minimum, the key file sizes, the hash state size s and the
@@ -47,7 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from cfslab import attacks, keyfiles, schemes  # noqa: E402  (needs the path above)
 from cfslab.codehash import md_final_state  # noqa: E402
-from cfslab.linalg import BitVector  # noqa: E402
+from cfslab.linalg import BitMatrix, BitVector  # noqa: E402
 from cfslab.metering import count_operations  # noqa: E402
 
 # t per rung: m*t < 2^m everywhere; m=5,t=3 and m=10,t=4 are the benchmark
@@ -57,7 +62,7 @@ RUNGS = [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 4), (11, 6), (12, 
          (13, 8), (14, 9), (15, 9), (16, 9)]
 SETUP_STEPS = ("keygen", "first_verify", "save", "load_secret_key", "load_public_key")
 HASH_STEPS = ("md_final_state", "forge_mcfsc", "forge_tilde")
-STEPS = SETUP_STEPS + HASH_STEPS
+STEPS = SETUP_STEPS + HASH_STEPS + ("recover_permutation",)
 SEED = 7
 REPEAT = 5
 MESSAGE = random.Random(SEED).randbytes(8192)
@@ -119,6 +124,18 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
     check(forgery.cost.compressions == honest.compressions - 1, m, t,
           f"the mcfsc forgery made {forgery.cost.compressions} compressions, "
           f"the honest signer {honest.compressions}")
+    h, h_pub = mcfsc_sk.code.h, mcfsc_pk.h_pub
+    row_lists = [[mat.row(i).to_int() for i in range(mat.rows)] for mat in (h, h_pub)]
+    for _ in range(REPEAT):
+        # fresh copies: a column list kept from the last repeat would hide the transposes
+        fresh = [BitMatrix(mat.rows, mat.cols, rows) for mat, rows in zip((h, h_pub), row_lists)]
+        start = perf_counter()
+        rec = attacks.recover_permutation(*fresh)
+        times["recover_permutation"].append(perf_counter() - start)
+        check(rec.perm == mcfsc_sk.perm and not rec.ambiguous, m, t,
+              "recover_permutation did not return P unambiguously")
+        check(rec.comparisons <= (1 << m) ** 2, m, t,
+              f"recover_permutation made {rec.comparisons} comparisons, above n^2")
     return {
         "m": m,
         "t": t,
@@ -151,7 +168,9 @@ def main(argv=None) -> int:
         "load_public_key; then, on an mcfsc and a tilde key (regular encoder, md-stopped) with "
         "w = 2 (w = 1 at t = 2), md_final_state, forge_mcfsc and forge_tilde of one 8 KiB "
         "message (each forgery verified and decode-free; the mcfsc forgery makes one "
-        "compression fewer than an honest mcfsc_sign); seconds, one fixed seed, each step's "
+        "compression fewer than an honest mcfsc_sign); recover_permutation(H, H_pub) on the mcfsc "
+        "key, fresh copies of both matrices per repeat (checked: P, unambiguous, at most n^2 "
+        "comparisons); seconds, one fixed seed, each step's "
         "samples with their median and their minimum, since the median of the repeats swings "
         "up to 2x between runs of the same code on a shared machine",
         "command": " ".join(["python3", "bench/ladder.py", *(sys.argv[1:] if argv is None else argv)]),

@@ -5,10 +5,11 @@ Operands come from the code a seeded keygen draws: g is its Goppa
 polynomial, f a random polynomial of degree < t.  The two sizes are the
 census workload's m=5,t=3 and the retry signer's m=10 range at t=6.
 
-Set-up is timed whole (`goppa_keygen`, a cfs `load_secret_key` at m=10)
-and in its code build alone: `GoppaCode(g, support)` at m=10,t=6 and at
-m=16,t=9, where the bit-sliced parity-check build and the root table
-cover 65536 support positions.
+Set-up is timed whole (`goppa_keygen`, a cfs `save_secret_key` and
+`load_secret_key` at m=10,t=4), in its code build alone (`GoppaCode(g,
+support)` at m=10 with t=4 and t=6, and at m=16,t=9, where the bit-sliced
+parity-check build and the root table cover 65536 support positions) and
+in the decoder's sqrt(x) mod g (`sqrt_x_mod` at m=10,t=6 and m=16,t=9).
 """
 
 import random
@@ -21,6 +22,7 @@ from cfslab.gf2m import (
     partial_euclid,
     poly_mod_inv,
     poly_sqrt_mod_g,
+    sqrt_x_mod,
 )
 from cfslab.goppa import GoppaCode, goppa_keygen
 from cfslab.keyfiles import load_secret_key, save_secret_key
@@ -90,12 +92,28 @@ def test_goppa_keygen_10_6(benchmark):
     assert code.n_minus_k == 60
 
 
-@pytest.mark.parametrize("m,t", [(10, 6), (16, 9)], ids=["m10t6", "m16t9"])
+@pytest.mark.parametrize("m,t", [(10, 4), (10, 6), (16, 9)], ids=["m10t4", "m10t6", "m16t9"])
 def test_goppa_code(benchmark, m, t):
     code = goppa_keygen(m, t, random.Random(4))
     benchmark.group = f"GoppaCode(g, support) m={m},t={t}"
     built = benchmark.pedantic(GoppaCode, (code.g, code.support), rounds=5 if m > 12 else 30)
     assert built.h == code.h
+
+
+@pytest.mark.parametrize("m,t", [(10, 6), (16, 9)], ids=["m10t6", "m16t9"])
+def test_sqrt_x_mod(benchmark, m, t):
+    g = goppa_keygen(m, t, random.Random(4)).g
+    benchmark.group = f"sqrt_x_mod m={m},t={t}"
+    sx = benchmark(sqrt_x_mod, g)
+    assert (sx * sx) % g == Poly.x(g.field)
+
+
+def test_save_secret_key_10_4(benchmark, tmp_path):
+    sk, _ = cfs_keygen(10, 4, random.Random(5))
+    path = tmp_path / "cfs.sk"
+    benchmark.group = "save_secret_key cfs m=10,t=4"
+    benchmark(save_secret_key, sk, "cfs", path)
+    assert load_secret_key(path)[1].pk == sk.pk
 
 
 def test_load_secret_key_10_4(benchmark, tmp_path):

@@ -10,9 +10,15 @@ big-endian and byte-aligned regardless of length.  Coordinate i is bit
 little-endian int codec: `int.from_bytes`/`int.to_bytes` do the rest.
 Matrices have no text form here; the key files write one as a hex row
 per line (`keyfiles`).
-The same trick transposes: `transpose_bits` lays the values out as bytes
-and reads each output row as one strided slice turned into a binary
-numeral, so columns and the Goppa build never loop per bit.
+The same trick transposes.  `transpose_bits` lays the values out as bytes,
+last value first: values of at most 16 bits (the support and the permuted
+support, n field elements per Goppa build) in one little-endian
+`struct.pack` of one or two bytes each, wider ones (matrix rows read as
+columns) one `int.to_bytes` each.  One `bytes.translate` per bit position
+of a byte turns the whole buffer into ASCII digits, and output row b is
+then one strided slice, byte b >> 3 of every value in the digits of bit
+b & 7, read by one `int(..., 2)`: two C-level calls a row, and no loop per
+bit or per value in the interpreter.
 
 A matrix's columns are computed once: `columns()` transposes on its first
 call and keeps the tuple, which `mat_vec` and `codehash.HashConfig` read.

@@ -10,6 +10,7 @@ from cfslab.gf2m import GF2m
 from cfslab.goppa import GoppaCode, goppa_keygen
 from cfslab.keyfiles import (
     _fmt_field_elems,
+    _matrix_lines,
     load_public_key,
     load_secret_key,
     load_signature,
@@ -357,25 +358,32 @@ def good_files(tmp_path_factory):
 LOADERS = {"sk": load_secret_key, "pk": load_public_key, "sig": load_signature}
 
 
+BAD_SCRAMBLERS = {
+    "singular": (BitMatrix(12, 12, [1] * 12), BadParameters, "scrambler is singular"),
+    "wrong size": (BitMatrix.identity(11), DimensionError, "scrambler is 11 x 11, not 12 x 12"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SCRAMBLERS)
 @pytest.mark.parametrize("how", ["from_parts", "key file"])
-def test_singular_scrambler_refused_before_h_p_is_built(tmp_path, good_files, monkeypatch, how):
+def test_bad_scrambler_refused_before_h_p_is_built(tmp_path, good_files, monkeypatch, how, bad):
     text = good_files["sk", "cfs"]
     _, sk = load_secret_key(_write(tmp_path / "good", text))
-    singular = BitMatrix(12, 12, [1] * 12)
+    scrambler, error, message = BAD_SCRAMBLERS[bad]
 
     def refused(code, perm):
-        raise AssertionError("H * P built for a singular S")
+        raise AssertionError("H * P built for a bad S")
 
     monkeypatch.setattr(GoppaCode, "permuted_h", refused)
     if how == "from_parts":
-        with pytest.raises(BadParameters, match="scrambler is singular"):
-            SCHEMES["cfs"].from_parts(sk.code, sk.perm, singular, hash_id="sha256")
+        with pytest.raises(error, match=message):
+            SCHEMES["cfs"].from_parts(sk.code, sk.perm, scrambler, hash_id="sha256")
     else:
-        lines = text.split(b"\n")
-        start = lines.index(b"S 12 12") + 1
-        lines[start : start + 12] = [b"0800"] * 12  # every row is coordinate 4
-        with pytest.raises(KeyFormatError, match="scrambler is singular"):
-            load_secret_key(_write(tmp_path / "bad", b"\n".join(lines)))
+        lines = text.decode().split("\n")
+        start = lines.index("S 12 12")
+        lines[start : start + 13] = _matrix_lines("S", scrambler)
+        with pytest.raises(KeyFormatError, match=message):
+            load_secret_key(_write(tmp_path / "bad", "\n".join(lines).encode()))
 
 
 def test_malformed_files_rejected(tmp_path, good_files):

@@ -26,7 +26,7 @@ def test_ladder_runs_its_checks_on_the_smallest_rungs(tmp_path, monkeypatch):
     assert ladder.main(["--out", str(out)]) == 0
     rungs = json.loads(out.read_text())["rungs"]
     assert [(r["m"], r["t"]) for r in rungs] == [(4, 2), (5, 3)]
-    assert "forge_tilde" in ladder.STEPS
+    assert {"forge_tilde", "recover_permutation"} <= set(ladder.STEPS)
     for rung in rungs:
         for step in ladder.STEPS:
             samples = rung[f"{step}_s"]
