@@ -80,8 +80,11 @@ def transpose_bits(values: list[int], width: int) -> list[int]:
     else:
         nb = (width + 7) // 8
         data = b"".join([v.to_bytes(nb, "little") for v in reversed(values)])
-    digits = [data.translate(table) for table in _BIT_DIGITS[: min(width, 8)]]
-    return [int(digits[b & 7][b >> 3 :: nb], 2) for b in range(width)]
+    rows = [0] * width
+    for k, table in enumerate(_BIT_DIGITS[: min(width, 8)]):
+        digits = data.translate(table)  # one copy of the buffer alive at a time
+        rows[k::8] = [int(digits[b >> 3 :: nb], 2) for b in range(k, width, 8)]
+    return rows
 
 
 class BitVector:
