@@ -6,6 +6,11 @@ stopped chain) sign a 1 KiB message at m=10, t=6, w=4: one decode, with the
 code-based hash over the message taking the rest.  All four run through the
 one signing loop, `Scheme.sign`.
 
+Key assembly is timed too: `Scheme.from_parts` for cfs at m=10, t=4 and
+for tilde at m=10, t=6, w=4, on the parts of a seeded keygen.  That is the
+`SecretKey` constructor: the check of S, H * P, S * (H * P) and the public
+key.
+
     python -m pytest bench/test_sign.py --benchmark-only
 """
 
@@ -47,3 +52,17 @@ def test_sign(benchmark, scheme):
     verify = getattr(schemes, f"{scheme}_verify")
     for msg in messages[:4]:
         assert verify(msg, sign(msg, sk, rng), pk)
+
+
+# scheme -> (its arguments before the rng, header fields)
+PARTS = {"cfs": ((10, 4), {}), "tilde": ((10, 6), {"w": 4})}
+
+
+@pytest.mark.parametrize("scheme", PARTS)
+def test_from_parts(benchmark, scheme):
+    args, fields = PARTS[scheme]
+    record = schemes.SCHEMES[scheme]
+    sk, pk = record.keygen(*args, random.Random(f"parts/{scheme}"), **fields)
+    benchmark.group = f"{scheme} from_parts"
+    _, built = benchmark(record.from_parts, sk.code, sk.perm, sk.scrambler, **fields)
+    assert built == pk

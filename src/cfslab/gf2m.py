@@ -190,10 +190,11 @@ class Poly:
     """Polynomial over a GF2m field; coefficients lowest degree first.
 
     Immutable; trailing zero coefficients are stripped, so the zero
-    polynomial has empty coefficients and degree -1.
+    polynomial has empty coefficients and degree -1.  `_irreducible` is
+    unset until `goppa` tests the polynomial, and then holds the verdict.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_irreducible")
 
     def __new__(cls, field: GF2m, coeffs=()):
         coeffs = list(coeffs)

@@ -191,16 +191,25 @@ def _random_monic_poly(field: GF2m, t: int, rng) -> Poly:
     return Poly(field, [rng.getrandbits(field.m) for _ in range(t)] + [1])
 
 
+_set_irreducible = Poly._irreducible.__set__
+
+
 def _is_irreducible(g: Poly) -> bool:
     """Degree-t g is irreducible iff it has no factor of degree <= t/2;
-    checked with gcd(x^(2^(m*i)) - x, g) for i = 1..t//2."""
-    x = Poly.x(g.field)
-    h = x
-    for _ in range(g.degree // 2):
-        h = frobenius_mod(h, g, g.field.m)
-        if poly_gcd(h + x, g).degree != 0:
-            return False
-    return True
+    checked with gcd(x^(2^(m*i)) - x, g) for i = 1..t//2.  The verdict is
+    kept on g, as `linalg.inverse` keeps S^-1 on S: the g keygen accepts is
+    tested once, and a g built afresh, as a key file's is, again."""
+    verdict = getattr(g, "_irreducible", None)
+    if verdict is None:
+        x = h = Poly.x(g.field)
+        verdict = True
+        for _ in range(g.degree // 2):
+            h = frobenius_mod(h, g, g.field.m)
+            if poly_gcd(h + x, g).degree != 0:
+                verdict = False
+                break
+        _set_irreducible(g, verdict)
+    return verdict
 
 
 def check_parameters(m: int, t: int) -> None:
@@ -225,7 +234,8 @@ def goppa_keygen(m: int, t: int, rng) -> GoppaCode:
     field = GF2m(m)
     while True:
         g = _random_monic_poly(field, t, rng)
-        # checked here too, so that a reducible g uses up no seeded shuffle
+        # tested before the shuffle, so that a reducible g uses up no seeded
+        # shuffle; GoppaCode reads the verdict this test leaves on g
         if not _is_irreducible(g):
             continue
         support = list(field.elements())

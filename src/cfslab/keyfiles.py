@@ -11,10 +11,11 @@ public matrix of mcfsc) is recomputed rather than stored.  Which header
 fields a key file carries, whether it stores a scrambler and which counter
 field a signature has are read from the scheme's record in
 `schemes.SCHEMES`, and both loaders rebuild keys through that record.
-This module only parses: `GoppaCode`, `Scheme.from_parts` and the
-public-key types decide what a valid key is, and a loader reports their
-BadParameters as KeyFormatError, its own being for a line it cannot parse
-or does not read, or a stored m or t at odds with the key it built.
+This module only parses: `GoppaCode`, `SecretKey` (which builds a secret
+key's public key from its parts) and the public-key types decide what a
+valid key is, and a loader reports their BadParameters as KeyFormatError,
+its own being for a line it cannot parse or does not read, or a stored m
+or t at odds with the key it built.
 The secret-key loader also runs `check_parameters` on the stored m and t
 before it builds anything, so a hostile t is refused before the
 irreducibility test, which costs ~t^3, can run on its g.

@@ -11,11 +11,11 @@ Counters and nonces are bound into the hash as big-endian fields of
 `counter_width(n-k)` bytes so that message/counter splits are unambiguous.
 
 cfs and mcfs hash with SHA-256 (`message_hash`); their key files keep a
-`hash_id` line, which must read "sha256".  A `SecretKey` holds the code,
-P, the public key and, if the scheme scrambles, S.  One gate checks S
-however the key is made: its constructor calls it, and `Scheme.from_parts`
-calls it before building H * P.  S^-1 stays on S (`linalg.inverse`): one
-elimination per S, read back by the second check and by every signature.
+`hash_id` line, which must read "sha256".  A `SecretKey` builds its own
+public key from its code, P and S, never takes one, so a key made by keygen,
+a key file, direct construction or `dataclasses.replace` signs for its pk;
+S is checked before H * P is built.  S^-1 stays on S (`linalg.inverse`): one
+elimination per S, read by every signature.
 """
 
 from __future__ import annotations
@@ -75,32 +75,43 @@ def _check_shape(h_pub: BitMatrix, t: int) -> None:
         raise BadParameters(f"H_pub is {h_pub.rows} x {h_pub.cols}, not m*t x 2^m at t={t}")
 
 
-def _check_scrambler(scrambler: BitMatrix | None, r: int) -> None:
-    """The gate for S: r x r (DimensionError) and invertible (BadParameters).
-    The inverse stays on S (`linalg.inverse`), so a second check is a read."""
-    if scrambler is None:
-        return
-    if scrambler.rows != r or scrambler.cols != r:
-        raise DimensionError(f"scrambler is {scrambler.rows} x {scrambler.cols}, not {r} x {r}")
-    if inverse(scrambler) is None:
-        raise BadParameters("scrambler is singular")
-
-
 @dataclass(frozen=True)
 class SecretKey:
-    """The Goppa trapdoor every scheme shares: the code, the permutation P
-    and, if the scheme scrambles, S.  The scheme's header fields and hash
-    configuration are read off the public key `pk`.  DimensionError unless
-    S is (n-k) x (n-k), BadParameters unless it is invertible; its inverse
-    stays on S (`linalg.inverse`)."""
+    """A scheme's Goppa trapdoor: the code, the permutation P, S if the
+    scheme scrambles, and the header fields as (name, value) pairs.  The
+    constructor, and so `dataclasses.replace`, builds the public key `pk`
+    from them, checking in this order:
+    1. S is present iff the scheme scrambles (BadParameters);
+    2. S is (n-k) x (n-k) (DimensionError) and invertible (BadParameters),
+       its inverse kept on S, so a bad S costs no H * P;
+    3. H_pub = S * (H * P), or H * P without S (`GoppaCode.permuted_h`:
+       DimensionError unless P has n coordinates);
+    4. pk = scheme.public_key_type(H_pub, t, **fields), which checks
+       H_pub's shape and the fields (BadParameters); `fields` then holds
+       pk's, defaults included, in `scheme.header` order."""
 
+    scheme: Scheme
     code: GoppaCode
     perm: Permutation
-    pk: CfsPublicKey | McfscPublicKey | TildePublicKey
     scrambler: BitMatrix | None = None
+    fields: tuple[tuple[str, object], ...] = ()
+    pk: CfsPublicKey | McfscPublicKey | TildePublicKey = field(init=False, compare=False)
 
     def __post_init__(self):
-        _check_scrambler(self.scrambler, self.code.n_minus_k)
+        s, scheme, r = self.scrambler, self.scheme, self.code.n_minus_k
+        if (s is None) == scheme.scrambled:
+            raise BadParameters(f"{scheme.name} {'needs' if s is None else 'takes no'} scrambler")
+        if s is not None:
+            if s.rows != r or s.cols != r:
+                raise DimensionError(f"scrambler is {s.rows} x {s.cols}, not {r} x {r}")
+            if inverse(s) is None:
+                raise BadParameters("scrambler is singular")
+        h_pub = self.code.permuted_h(self.perm)
+        if s is not None:
+            h_pub = mat_mul(s, h_pub)
+        pk = scheme.public_key_type(h_pub, self.code.t, **dict(self.fields))
+        object.__setattr__(self, "pk", pk)
+        object.__setattr__(self, "fields", tuple((f, getattr(pk, f)) for f in scheme.header))
 
 
 # --------------------------------------------------------------------------
@@ -299,8 +310,8 @@ class Scheme:
     digest      digest(msg, c, pk): what H_pub * sig.error must equal for
                 the counter or nonce c (tilde ignores c)
 
-    Every scheme's secret key is a `SecretKey` built by `from_parts`, and
-    `keygen` draws its parts.  `sign` and `verify` both go through `digest`.
+    Every scheme's secret key is a `SecretKey`; `keygen` draws its parts.
+    `sign` and `verify` both go through `digest`.
     """
 
     name: str
@@ -313,20 +324,9 @@ class Scheme:
     digest: Callable
 
     def from_parts(self, code: GoppaCode, perm: Permutation, scrambler=None, **fields):
-        """(sk, pk) from a code, a permutation P, S if the scheme scrambles,
-        and the header fields; BadParameters unless the public-key type takes
-        H_pub = S * (H * P) and S is invertible; DimensionError unless P has
-        n coordinates and S is (n-k) x (n-k).  S is checked first, so a bad
-        one costs no H * P."""
-        if (scrambler is None) == self.scrambled:
-            need = "needs" if self.scrambled else "takes no"
-            raise BadParameters(f"{self.name} {need} scrambler")
-        _check_scrambler(scrambler, code.n_minus_k)  # before H * P is built
-        h_pub = code.permuted_h(perm)
-        if scrambler is not None:
-            h_pub = mat_mul(scrambler, h_pub)
-        pk = self.public_key_type(h_pub, code.t, **fields)
-        return SecretKey(code, perm, pk, scrambler), pk
+        """(sk, sk.pk) of the `SecretKey` these parts make."""
+        sk = SecretKey(self, code, perm, scrambler, tuple(fields.items()))
+        return sk, sk.pk
 
     def keygen(self, m: int, t: int, rng, **fields):
         """Draws the code, then S (if the scheme scrambles), then P: the RNG

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from cfslab import goppa
 from cfslab.errors import BadParameters, CensusInfeasible, DimensionError
-from cfslab.gf2m import GF2m, Poly, partial_euclid, poly_mod_inv, poly_sqrt_mod_g
+from cfslab.gf2m import GF2m, Poly, frobenius_mod, partial_euclid, poly_mod_inv, poly_sqrt_mod_g
 from cfslab.goppa import (
     GoppaCode,
     _is_irreducible,
@@ -71,6 +72,27 @@ def test_build_rejects_bad_support():
     root = next(a for a in range(16) if g.eval(a) == 0)
     with pytest.raises(BadParameters, match="not irreducible"):
         GoppaCode(g, [root, 1, 0])
+
+
+def test_an_accepted_g_is_tested_for_irreducibility_once(monkeypatch):
+    code = goppa_keygen(6, 4, random.Random(47))
+    calls = []
+
+    def counting(h, f, k):
+        calls.append(f)
+        return frobenius_mod(h, f, k)
+
+    monkeypatch.setattr(goppa, "frobenius_mod", counting)
+    # keygen's verdict stays on its g; an equal g built afresh, as a key
+    # file's is, is tested again in full
+    assert GoppaCode(code.g, code.support).h == code.h
+    assert calls == []
+    fresh = Poly(code.field, code.g.coeffs)
+    assert fresh == code.g and fresh is not code.g
+    assert GoppaCode(fresh, code.support).h == code.h
+    assert len(calls) == code.t // 2 and all(f is fresh for f in calls)
+    GoppaCode(fresh, code.support)
+    assert len(calls) == code.t // 2
 
 
 @pytest.mark.parametrize("m", [4, 5])

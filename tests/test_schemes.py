@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cfslab import schemes
 from cfslab.attacks import forge_mcfsc, forgery_record
 from cfslab.codehash import md_hash
 from cfslab.errors import AttemptLimitExceeded, BadParameters, DecodingInvariantError
@@ -362,16 +363,16 @@ def test_tilde_reproduces_mcfsc_signing(mcfsc_keys):
     ],
     ids=["mcfsc", "tilde"],
 )
-def test_single_decode_signers_raise_when_the_digest_does_not_decode(request, keys, sign):
-    # a secret key whose code is not the public key's: the digest is a
-    # decodable syndrome of the public code only, and this pinned message
-    # does not decode under the foreign one
+def test_single_decode_signers_raise_when_the_digest_does_not_decode(
+    request, monkeypatch, keys, sign
+):
+    # every key signs for its own public key, so a single-decode digest is
+    # decodable by construction; only a decoder that fails reaches the branch
     sk, _ = request.getfixturevalue(keys)
-    foreign = dataclasses.replace(sk, code=goppa_keygen(4, 3, random.Random(330)))
-    assert foreign.code.g != sk.code.g
-    sign(b"not this code 1", sk)
-    with pytest.raises(DecodingInvariantError):
-        sign(b"not this code 1", foreign)
+    sign(b"one decode", sk)
+    monkeypatch.setattr(schemes, "patterson_decode", lambda code, s: None)
+    with pytest.raises(DecodingInvariantError, match="digest failed to decode"):
+        sign(b"one decode", sk)
 
 
 # each scheme's public signer, called the way the CLI's table signer is
@@ -478,7 +479,9 @@ def test_a_key_built_directly_signs(name):
     s = sk.scrambler
     copy = BitMatrix(s.rows, s.cols, [s.row(i).to_int() for i in range(s.rows)])
     rng = random.Random(2)
-    for key in (SecretKey(sk.code, sk.perm, pk, s), SecretKey(sk.code, sk.perm, pk, copy)):
+    for scrambler in (s, copy):
+        key = SecretKey(scheme, sk.code, sk.perm, scrambler, sk.fields)
+        assert key.pk == pk
         for i in range(10):
             msg = b"direct %d" % i
             sig = scheme.sign(msg, key, rng)
@@ -489,10 +492,69 @@ def test_singular_scrambler_refused_however_the_key_is_made(tilde_keys):
     sk, pk = tilde_keys
     singular = BitMatrix(12, 12, [1] * 12)
     with pytest.raises(BadParameters, match="scrambler is singular"):
-        SecretKey(sk.code, sk.perm, pk, singular)
+        SecretKey(sk.scheme, sk.code, sk.perm, singular, sk.fields)
     with pytest.raises(BadParameters, match="scrambler is singular"):
         dataclasses.replace(sk, scrambler=singular)
-    assert dataclasses.replace(sk, scrambler=rand_invertible(12, random.Random(3))).pk is pk
+    # an invertible S makes a new key, with the public key of its own parts
+    key = dataclasses.replace(sk, scrambler=rand_invertible(12, random.Random(3)))
+    assert key.pk.h_pub == mat_mul(key.scrambler, sk.code.permuted_h(sk.perm)) != pk.h_pub
+    for i in range(5):
+        msg = b"rescrambled %d" % i
+        assert tilde_verify(msg, tilde_sign(msg, key), key.pk)
+
+
+# --- a secret key makes its own public key ------------------------------
+
+
+REPLACEMENTS = {
+    "code": lambda rng: goppa_keygen(5, 3, rng),
+    "perm": lambda rng: Permutation.random(32, rng),
+    "scrambler": lambda rng: rand_invertible(15, rng),
+}
+
+
+@pytest.mark.parametrize("part", REPLACEMENTS)
+@pytest.mark.parametrize("name", ["cfs", "tilde"])
+def test_every_replaced_part_remakes_the_public_key(name, part):
+    # every signature of the new key verifies under the key's own pk
+    scheme = SCHEMES[name]
+    sk, pk = scheme.keygen(5, 3, random.Random(1), **_header_fields(scheme))
+    key = dataclasses.replace(sk, **{part: REPLACEMENTS[part](random.Random(9))})
+    assert getattr(key, part) != getattr(sk, part)
+    h_pub = mat_mul(key.scrambler, key.code.permuted_h(key.perm))
+    assert key.pk.h_pub == h_pub != pk.h_pub
+    rng = random.Random(10)
+    for i in range(20):
+        msg = b"replaced %d" % i
+        assert scheme.verify(msg, scheme.sign(msg, key, rng), key.pk)
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_a_key_built_directly_makes_keygens_public_key(name):
+    scheme = SCHEMES[name]
+    sk, pk = scheme.keygen(4, 3, random.Random(306), **_header_fields(scheme))
+    fields = tuple((f, getattr(pk, f)) for f in scheme.header)
+    key = SecretKey(scheme, sk.code, sk.perm, sk.scrambler, fields[::-1])
+    assert key.pk.h_pub == pk.h_pub and key.pk == pk
+    # the fields are read back off pk, defaults included, in header order,
+    # so the two keys are equal however their fields were given
+    assert key == sk and key.fields == sk.fields == fields
+
+
+def test_a_key_built_directly_has_a_scrambler_iff_its_scheme_scrambles():
+    code = goppa_keygen(4, 3, random.Random(305))
+    perm, ident = Permutation.identity(code.n), BitMatrix.identity(code.n_minus_k)
+    with pytest.raises(BadParameters, match="^cfs needs scrambler$"):
+        SecretKey(SCHEMES["cfs"], code, perm)
+    with pytest.raises(BadParameters, match="^cfs needs scrambler$"):
+        SCHEMES["cfs"].from_parts(code, perm)
+    with pytest.raises(BadParameters, match="^mcfsc takes no scrambler$"):
+        SecretKey(SCHEMES["mcfsc"], code, perm, ident, (("w", 2),))
+    with pytest.raises(BadParameters, match="^mcfsc takes no scrambler$"):
+        SCHEMES["mcfsc"].from_parts(code, perm, ident, w=2)
+    # a field the scheme does not have is refused, not dropped
+    with pytest.raises(TypeError):
+        SCHEMES["cfs"].from_parts(code, perm, ident, w=2)
 
 
 def test_counter_schemes_take_sha256_only(cfs_keys):
