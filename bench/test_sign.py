@@ -1,10 +1,13 @@
-"""Each scheme's public signer at the end-to-end benchmark's parameters.
+"""Each scheme's public signer and verifier at the end-to-end benchmark's
+parameters.
 
 cfs and mcfs sign 32-byte messages at m=10, t=4: about t! = 24 decodes per
 signature, almost all of them failing.  mcfsc and tilde (regular encoder,
 stopped chain) sign a 1 KiB message at m=10, t=6, w=4: one decode, with the
 code-based hash over the message taking the rest.  All four run through the
-one signing loop, `Scheme.sign`.
+one signing loop, `Scheme.sign`.  Each verifier checks honest signatures
+of the same messages: for cfs and mcfs that is the gate, one SHA-256 call
+and t column XORs; for mcfsc and tilde the code-based hash dominates.
 
 Key assembly is timed too: `Scheme.from_parts` for cfs at m=10, t=4 and
 for tilde at m=10, t=6, w=4, on the parts of a seeded keygen.  That is the
@@ -52,6 +55,20 @@ def test_sign(benchmark, scheme):
     verify = getattr(schemes, f"{scheme}_verify")
     for msg in messages[:4]:
         assert verify(msg, sign(msg, sk, rng), pk)
+
+
+@pytest.mark.parametrize("scheme", PARAMS)
+def test_verify(benchmark, scheme):
+    keygen, args, size = PARAMS[scheme]
+    rng = random.Random(f"verify/{scheme}")
+    sk, pk = keygen(*args, rng)
+    sign = SIGNERS[scheme]
+    signed = [(msg, sign(msg, sk, rng)) for msg in (rng.randbytes(size) for _ in range(BATCH))]
+    benchmark.group = f"{scheme}_verify"
+    benchmark.extra_info["message_bytes"] = size
+    verify = getattr(schemes, f"{scheme}_verify")
+    cycle = itertools.cycle(signed)
+    assert benchmark(lambda: verify(*next(cycle), pk))
 
 
 # scheme -> (its arguments before the rng, header fields)

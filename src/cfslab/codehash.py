@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import BadParameters, DimensionError, WeightBoundViolation
-from .linalg import BitMatrix, BitVector, _bitvector, _set_bits, _set_n, mat_vec
+from .linalg import _BITREV, BitMatrix, BitVector, _bitvector, _set_bits, _set_n, mat_vec
 from .metering import tick_compression
 
 _new = object.__new__
@@ -163,12 +163,14 @@ def md_final_state(msg: bytes, cfg: HashConfig) -> BitVector:
 
 
 def digest_bits(data: bytes, nbits: int) -> BitVector:
-    """SHA-256 in counter mode, truncated to exactly nbits."""
-    out = b""
-    counter = 0
-    while 8 * len(out) < nbits:
-        out += hashlib.sha256(data + counter.to_bytes(4, "big")).digest()
-        counter += 1
+    """SHA-256 in counter mode (block i hashes data || i, 4 bytes big-endian),
+    truncated to exactly nbits; up to 256 bits that is one SHA-256 call."""
+    if nbits <= 256:
+        out = hashlib.sha256(data + b"\0\0\0\0").digest().translate(_BITREV)
+        return _bitvector(nbits, int.from_bytes(out, "little") & ((1 << nbits) - 1))
+    out = b"".join(
+        hashlib.sha256(data + i.to_bytes(4, "big")).digest() for i in range((nbits + 255) // 256)
+    )
     return BitVector.from_bytes(out[: (nbits + 7) // 8], nbits)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .codehash import registered
-from .errors import CfsLabError, KeyFormatError
+from .errors import BadParameters, CfsLabError, KeyFormatError
 from .gf2m import GF2m, Poly
 from .goppa import GoppaCode, check_parameters
 from .linalg import BitMatrix, BitVector, Permutation
@@ -130,10 +130,17 @@ def _write(path, lines: list[str]) -> None:
 
 
 def save_secret_key(sk, scheme: str, path: str) -> None:
+    """BadParameters, and no file, unless the named scheme stores the same
+    key as sk.scheme: scrambled, header and public_key_type (cfs as mcfs)."""
+    record, own = registered(SCHEMES, scheme, "scheme"), sk.scheme
+    if (record.scrambled, record.header, record.public_key_type) != (
+        own.scrambled, own.header, own.public_key_type
+    ):
+        raise BadParameters(f"a {own.name} key cannot be saved as a {scheme} key")
     code = sk.code
     lines = _key_lines(sk.pk, scheme, "secret", code.m, code.t)
     lines += [f"g {_fmt_field_elems(code.g.coeffs)}", f"support {_fmt_field_elems(code.support)}"]
-    if SCHEMES[scheme].scrambled:
+    if record.scrambled:
         lines += _matrix_lines("S", sk.scrambler)
     lines.append(f"P {sk.perm.to_text()}")
     _write(path, lines)

@@ -5,17 +5,19 @@ encoder-based variant (tilde).
 The schemes differ only in how the digest that H_pub * e must match is
 formed.  `SCHEMES` maps each name to a `Scheme` record holding that digest,
 the public-key type and what the scheme's files carry.  One signing loop,
-`Scheme.sign`, and one verifier, `Scheme.verify` (a shared gate plus digest
-== H_pub * e, from public data only), both read the record's digest.
-Counters and nonces are bound into the hash as big-endian fields of
+`Scheme.sign`, and one verifier, `Scheme.verify`, both read the record's
+digest.  `Scheme.verify` holds the one gate every signature passes before
+its digest's packed int is compared with H_pub * e (one `mat_vec`, t column
+XORs).  Counters and nonces are bound into the hash as big-endian fields of
 `counter_width(n-k)` bytes so that message/counter splits are unambiguous.
 
-cfs and mcfs hash with SHA-256 (`message_hash`); their key files keep a
-`hash_id` line, which must read "sha256".  A `SecretKey` builds its own
-public key from its code, P and S, never takes one, so a key made by keygen,
-a key file, direct construction or `dataclasses.replace` signs for its pk;
-S is checked before H * P is built.  S^-1 stays on S (`linalg.inverse`): one
-elimination per S, read by every signature.
+cfs and mcfs hash with SHA-256 (`message_hash`), one call of it for any
+n-k <= 256 (`digest_bits`); their key files keep a `hash_id` line, which
+must read "sha256".  A `SecretKey` builds its own public key from its code,
+P and S, never takes one, so a key made by keygen, a key file, direct
+construction or `dataclasses.replace` signs for its pk; S is checked before
+H * P is built.  S^-1 stays on S (`linalg.inverse`): one elimination per S,
+read by every signature.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ def _counter_bytes(value: int, r: int) -> bytes:
     return value.to_bytes(counter_width(r), "big")
 
 
-def _encodable_counter(value, r: int) -> bool:
-    """Whether a signature's counter or nonce fits the hashed field; the
-    verifiers reject any other value instead of raising."""
-    return isinstance(value, int) and 0 <= value < 1 << (8 * counter_width(r))
-
-
 def draw_nonce(rng, r: int) -> int:
     """A fresh nonce, uniform in [1, 2^r]."""
     return rng.randrange(1, (1 << r) + 1)
@@ -63,7 +59,7 @@ def draw_nonce(rng, r: int) -> int:
 
 def message_hash(msg: bytes, counter: int, nbits: int) -> BitVector:
     """The counter-scheme hash h(msg || counter), nbits of SHA-256."""
-    return digest_bits(msg + _counter_bytes(counter, nbits), nbits)
+    return digest_bits(msg + counter.to_bytes(counter_width(nbits), "big"), nbits)
 
 
 def _check_shape(h_pub: BitMatrix, t: int) -> None:
@@ -283,16 +279,6 @@ def tilde_verify(msg: bytes, sig: TildeSignature, pk: TildePublicKey) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _gate(counter: str | None, sig, pk) -> bool:
-    """What every verifier checks before the digest: an n-bit error of
-    weight at most t and, if the scheme has one, a counter or nonce that
-    the hashed field can hold.  False, not an exception, for any value."""
-    error = getattr(sig, "error", None)
-    if not isinstance(error, BitVector) or error.n != pk.h_pub.cols or error.weight > pk.t:
-        return False
-    return counter is None or _encodable_counter(getattr(sig, counter, None), pk.h_pub.rows)
-
-
 @dataclass(frozen=True)
 class Scheme:
     """Everything that tells one scheme from another.
@@ -357,10 +343,19 @@ class Scheme:
         raise DecodingInvariantError(f"a {self.name} digest failed to decode")
 
     def verify(self, msg: bytes, sig, pk) -> bool:
-        if not _gate(self.counter, sig, pk):
+        """digest == H_pub * e, from public data only, behind the one gate:
+        an n-bit error of weight at most t and, if the scheme has one, a
+        counter or nonce that the hashed field can hold.  False, not an
+        exception, for any signature value."""
+        h_pub, error = pk.h_pub, getattr(sig, "error", None)
+        if not isinstance(error, BitVector) or error.n != h_pub.cols or error.weight > pk.t:
             return False
-        c = None if self.counter is None else getattr(sig, self.counter)
-        return self.digest(msg, c, pk) == mat_vec(pk.h_pub, sig.error)
+        c = None
+        if self.counter is not None:
+            c = getattr(sig, self.counter, None)
+            if not isinstance(c, int) or not 0 <= c < 1 << 8 * counter_width(h_pub.rows):
+                return False
+        return self.digest(msg, c, pk)._bits == mat_vec(h_pub, error)._bits
 
 
 CFS = Scheme(

@@ -2,12 +2,16 @@
 never needs: vectors from bit strings, the transpose, the row-parity matrix
 product, the per-position Goppa parity-check build, column permutation by
 picking columns, permutation matrices, kernel bases, rank by an XOR basis
-and the random invertible matrix it accepts, and a quadratic with no root
-in the field."""
+and the random invertible matrix it accepts, a quadratic with no root in
+the field, SHA-256 in counter mode one block at a time, and the verifier as
+a separate gate plus a comparison of digest vectors."""
+
+import hashlib
 
 from cfslab.errors import DimensionError
 from cfslab.gf2m import GF2m, Poly
-from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref, transpose_bits
+from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref, mat_vec, transpose_bits
+from cfslab.schemes import counter_width
 
 
 def from_bits(bits) -> BitVector:
@@ -127,3 +131,45 @@ def rootless_quadratic(field: GF2m) -> Poly:
         for b in range(1, field.order)
         if all((q := Poly(field, (b, 1, 1))).eval(a) for a in field.elements())
     )
+
+
+def counter_mode_digest(data: bytes, nbits: int) -> BitVector:
+    """Reference for `codehash.digest_bits`: SHA-256 of data || counter
+    (4 bytes, big-endian) for counter = 0, 1, ... until nbits are out, the
+    bytes read MSB first and truncated to nbits."""
+    out = b""
+    counter = 0
+    while 8 * len(out) < nbits:
+        out += hashlib.sha256(data + counter.to_bytes(4, "big")).digest()
+        counter += 1
+    return BitVector.from_bytes(out[: (nbits + 7) // 8], nbits)
+
+
+def encodable_counter(value, r: int) -> bool:
+    """Whether a signature's counter or nonce fits the hashed field."""
+    return isinstance(value, int) and 0 <= value < 1 << (8 * counter_width(r))
+
+
+def gate(counter: str | None, sig, pk) -> bool:
+    """What every verifier checks before the digest: an n-bit error of
+    weight at most t and, if the scheme has one, a counter or nonce that
+    the hashed field can hold."""
+    error = getattr(sig, "error", None)
+    if not isinstance(error, BitVector) or error.n != pk.h_pub.cols or error.weight > pk.t:
+        return False
+    return counter is None or encodable_counter(getattr(sig, counter, None), pk.h_pub.rows)
+
+
+def gated_verify(scheme, msg: bytes, sig, pk) -> bool:
+    """Reference for `Scheme.verify`: the gate, then the digest equals
+    H_pub * e as BitVectors.  cfs and mcfs digests come from
+    `counter_mode_digest`; the code-hash digests from the scheme record."""
+    if not gate(scheme.counter, sig, pk):
+        return False
+    c = None if scheme.counter is None else getattr(sig, scheme.counter)
+    if scheme.name in ("cfs", "mcfs"):
+        r = pk.h_pub.rows
+        digest = counter_mode_digest(msg + c.to_bytes(counter_width(r), "big"), r)
+    else:
+        digest = scheme.digest(msg, c, pk)
+    return digest == mat_vec(pk.h_pub, sig.error)

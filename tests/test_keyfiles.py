@@ -54,6 +54,32 @@ def test_cfs_key_round_trip(tmp_path):
     assert cfs_verify(b"round trip", sig, pk2)
 
 
+@pytest.mark.parametrize("name", ["mcfsc", "cfs"])
+def test_a_key_saved_as_another_kind_is_refused(tmp_path, name):
+    # as mcfsc the tilde key's S would be dropped and its pk would change; as
+    # cfs the file would carry a hash id the cfs loader refuses
+    sk, _ = tilde_keygen(5, 3, 2, random.Random(1))
+    with pytest.raises(BadParameters, match=f"tilde key cannot be saved as a {name} key"):
+        save_secret_key(sk, name, tmp_path / "sk")
+    assert not (tmp_path / "sk").exists()
+
+
+def test_a_cfs_key_saved_as_mcfs_round_trips(tmp_path):
+    # cfs and mcfs store the same key; perfbench saves a cfs_keygen key as mcfs
+    sk, pk = cfs_keygen(5, 3, random.Random(1))
+    save_secret_key(sk, "mcfs", tmp_path / "sk")
+    scheme, sk2 = load_secret_key(tmp_path / "sk")
+    assert scheme == "mcfs" and sk2.scheme is SCHEMES["mcfs"] and sk2.pk == pk
+    assert mcfs_verify(b"m", mcfs_sign(b"m", sk2, random.Random(2)), pk)
+
+
+def test_a_key_saved_under_an_unknown_name_is_refused(tmp_path):
+    sk, _ = cfs_keygen(4, 3, random.Random(1))
+    with pytest.raises(BadParameters):
+        save_secret_key(sk, "sha256", tmp_path / "sk")
+    assert not (tmp_path / "sk").exists()
+
+
 def test_mcfs_signature_round_trip(tmp_path):
     sk, pk = cfs_keygen(4, 3, random.Random(2))
     sig = mcfs_sign(b"msg", sk, random.Random(3))
