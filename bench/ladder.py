@@ -1,37 +1,51 @@
-"""Key set-up, the code-based hash and key recovery over a ladder of field
-sizes, m = 4..16.  Standard library only; not collected by pytest.
+"""Key set-up, the Goppa decoder, signing and verifying, the code-based hash
+and key recovery over a ladder of field sizes, m = 4..16.  Standard library
+only; not collected by pytest.  With perfbench, the one timing harness of
+this repository; `bench/pairs.py --workload ladder` pairs two revisions of it.
 
     python3 bench/ladder.py [--out BENCH_ladder.json]
 
-For each rung (m, t) it times, on this checkout's `src/`, a cfs keygen with
-`random.Random(SEED)`, the first `cfs_verify` against the public key that
-keygen returned, saving the secret and the public key, and loading each
-back (`load_secret_key`, `load_public_key`), REPEAT times each.  Every rung
-draws the same key on every repeat.  The verified signature is a weight-t
-error that no counter was decoded for, so verify must reject it; what the
-step times is the first product by H_pub, which transposes its column
-list (keygen builds H_pub from rows).
+For each rung (m, t) it times, on this checkout's `src/`, REPEAT times each:
 
-The code-hash step builds one mcfsc key and one tilde key (regular
-encoder, md-stopped inner hash) per rung from the same seed, with w = 2
-(w = 1 at t = 2, since w < t), and times `md_final_state`, `forge_mcfsc`
-and `forge_tilde` on one fixed 8 KiB message, REPEAT times each: the
-Merkle-Damgard chain at every field size.  Every forgery must verify and
-must have cost no decoder call, and an mcfsc forgery must make exactly one
-compression fewer than an honest `mcfsc_sign` of the same message and
-nonce, counted in its own `count_operations` scope.
+- cfs key set-up: keygen with `random.Random(SEED)`, the first `cfs_verify`
+  against the public key that keygen returned, a second, steady one,
+  saving the secret and the public key, and loading each back
+  (`load_secret_key`, `load_public_key`).  Every rung draws the same key on
+  every repeat.  The verified signature is a weight-t error that no counter
+  was decoded for, so verify must reject it; the first verify times the
+  first product by H_pub, which transposes its column list (keygen builds
+  H_pub from rows), the steady one a verify as every later one runs.
+- the key's parts: `GoppaCode(g, support)` on a fresh copy of keygen's g,
+  so that the irreducibility test runs as a key load pays it, and
+  `from_parts` on keygen's code, P and S.  The fresh code's H must be
+  keygen's and the assembled public key keygen's.
+- the decoder: `patterson_decode` on a seeded batch of BATCH random
+  syndromes that fail (`decode_fail`) and on BATCH planted weight-t errors
+  (`decode_t`), each of which must come back exactly; then Patterson's five
+  stages over the failing batch, each stage over the whole batch:
+  `syndrome_poly`, `poly_mod_inv`, `poly_sqrt_mod_g`, `partial_euclid` and
+  `root_mask`.  Composed as `patterson_decode` composes them, the stages
+  must give its verdict on every syndrome of both batches.
+- the code-based hash, on one mcfsc key and one tilde key (regular encoder,
+  md-stopped inner hash) per rung from the same seed, with w = 2 (w = 1 at
+  t = 2, since w < t), and one fixed 8 KiB message: `md_final_state`,
+  `forge_mcfsc`, `forge_tilde`, and `mcfsc_sign`, `mcfsc_verify`,
+  `tilde_sign` and `tilde_verify` of honest signatures.  Every forgery and
+  every signature must verify, no forgery may call the decoder, and an
+  mcfsc forgery must make exactly one compression fewer than the honest
+  `mcfsc_sign` of the same message and nonce.
+- key recovery: `attacks.recover_permutation(H, H_pub)` on the rung's mcfsc
+  key (H_pub = H*P), each on fresh copies of both matrices, so that every
+  call transposes both column lists.  The recovered permutation must be P,
+  unambiguous, found in at most n^2 comparisons.
 
-The key-recovery step times `attacks.recover_permutation(H, H_pub)` on the
-rung's mcfsc key (H_pub = H*P), REPEAT times, each on fresh copies of both
-matrices, so that every call transposes both column lists.  The recovered
-permutation must be P, unambiguous, found in at most n^2 comparisons.  A
-failed check exits non-zero and names the rung.
-
-The JSON written to `--out` holds each time in seconds, their median and
-their minimum, the key file sizes, the hash state size s and the
-interpreter and machine it ran on; a summary table of the minima goes to
-stdout.  On a shared machine the median of REPEAT runs swings up to 2x
-between runs of the same code, the minimum much less.
+A failed check exits non-zero and names the rung.  The JSON written to
+`--out` holds each step's times in seconds (a batch step's time is that of
+the whole batch), their median and their minimum, the key file sizes, the
+hash state size s and the interpreter and machine it ran on; a summary
+table of the minima goes to stdout.  On a shared machine the median of
+REPEAT runs swings up to 2x between runs of the same code, the minimum much
+less.
 """
 
 from __future__ import annotations
@@ -50,9 +64,9 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from cfslab import attacks, keyfiles, schemes  # noqa: E402  (needs the path above)
+from cfslab import attacks, gf2m, goppa, keyfiles, schemes  # noqa: E402  (needs the path above)
 from cfslab.codehash import md_final_state  # noqa: E402
-from cfslab.linalg import BitMatrix, BitVector  # noqa: E402
+from cfslab.linalg import BitMatrix, BitVector, mat_vec  # noqa: E402
 from cfslab.metering import count_operations  # noqa: E402
 
 # t per rung: m*t < 2^m everywhere; m=5,t=3 and m=10,t=4 are the benchmark
@@ -60,11 +74,17 @@ from cfslab.metering import count_operations  # noqa: E402
 # is still within reach
 RUNGS = [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 4), (11, 6), (12, 8),
          (13, 8), (14, 9), (15, 9), (16, 9)]
-SETUP_STEPS = ("keygen", "first_verify", "save", "load_secret_key", "load_public_key")
-HASH_STEPS = ("md_final_state", "forge_mcfsc", "forge_tilde")
-STEPS = SETUP_STEPS + HASH_STEPS + ("recover_permutation",)
+SETUP_STEPS = ("keygen", "first_verify", "cfs_verify", "save", "load_secret_key",
+               "load_public_key")
+PARTS_STEPS = ("goppa_code", "from_parts")
+DECODE_STEPS = ("decode_fail", "decode_t")
+STAGES = ("syndrome_poly", "poly_mod_inv", "poly_sqrt_mod_g", "partial_euclid", "root_mask")
+HASH_STEPS = ("md_final_state", "forge_mcfsc", "forge_tilde", "mcfsc_sign", "mcfsc_verify",
+              "tilde_sign", "tilde_verify")
+STEPS = SETUP_STEPS + PARTS_STEPS + DECODE_STEPS + STAGES + HASH_STEPS + ("recover_permutation",)
 SEED = 7
 REPEAT = 5
+BATCH = 16
 MESSAGE = random.Random(SEED).randbytes(8192)
 
 
@@ -72,6 +92,64 @@ def check(ok: bool, m: int, t: int, what: str) -> None:
     """One of the paper's checks at a rung: exits non-zero, naming the rung."""
     if not ok:
         raise SystemExit(f"m={m}, t={t}: {what}")
+
+
+def record_marks(times: dict, steps: tuple, marks: tuple) -> None:
+    """Appends the time between consecutive marks to each step in turn."""
+    for step, begin, end in zip(steps, marks, marks[1:]):
+        times[step].append(end - begin)
+
+
+def patterson_stages(code: goppa.GoppaCode, batch: list, times: dict) -> list:
+    """`patterson_decode`'s five stages, each run over the whole batch and
+    timed into `times`, composed as `patterson_decode` composes them (the
+    batch holds no zero syndrome); returns each syndrome's verdict."""
+    g, t, x = code.g, code.t, gf2m.Poly.x(code.field)
+
+    def stage(step, fn, calls):
+        start = perf_counter()
+        out = [fn(*args) for args in calls]
+        times[step].append(perf_counter() - start)
+        return out
+
+    polys = stage("syndrome_poly", code._syndrome_poly, [(s,) for s in batch])
+    inverses = stage("poly_mod_inv", gf2m.poly_mod_inv, [(sp, g) for sp in polys])
+    taus = stage("poly_sqrt_mod_g", gf2m.poly_sqrt_mod_g,
+                 [(inv + x, g, code._sqrt_x) for inv in inverses])
+    pairs = stage("partial_euclid", gf2m.partial_euclid, [(g, tau, t // 2) for tau in taus])
+    locators = [u * u + x * (v * v) for u, v in pairs]
+    masks = stage("root_mask", code.root_mask, [(sigma,) for sigma in locators])
+    verdicts = []
+    for s, sigma, mask in zip(batch, locators, masks):
+        e = BitVector(code.n, mask) if mask.bit_count() == sigma.degree else None
+        verdicts.append(e if e is not None and e.weight <= t and mat_vec(code.h, e) == s
+                        else None)
+    return verdicts
+
+
+def time_decoder(code: goppa.GoppaCode, times: dict) -> None:
+    m, t, r, n = code.m, code.t, code.n_minus_k, code.n
+    rng = random.Random(SEED)
+    failing = []
+    while len(failing) < BATCH:
+        s = BitVector(r, rng.getrandbits(r))
+        if goppa.patterson_decode(code, s) is None:
+            failing.append(s)
+    planted = [BitVector.from_indices(n, rng.sample(range(n), t)) for _ in range(BATCH)]
+    syndromes = [mat_vec(code.h, e) for e in planted]
+    for _ in range(REPEAT):
+        start = perf_counter()
+        for s in failing:
+            goppa.patterson_decode(code, s)
+        failed = perf_counter()
+        decoded = [goppa.patterson_decode(code, s) for s in syndromes]
+        record_marks(times, DECODE_STEPS, (start, failed, perf_counter()))
+        check(decoded == planted, m, t, "a planted weight-t error did not come back")
+        patterson_stages(code, failing, times)
+    batch = failing + syndromes
+    expected = [goppa.patterson_decode(code, s) for s in batch]
+    check(patterson_stages(code, batch, {step: [] for step in STAGES}) == expected, m, t,
+          "Patterson's stages, composed, disagree with patterson_decode")
 
 
 def time_rung(m: int, t: int, workdir: str) -> dict:
@@ -84,6 +162,8 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         keygen = perf_counter()
         accepted = schemes.cfs_verify(b"ladder", unsigned, pk)
         verified = perf_counter()
+        accepted |= schemes.cfs_verify(b"ladder", unsigned, pk)
+        steady = perf_counter()
         check(not accepted, m, t, "verify accepted an error that was never signed")
         keyfiles.save_secret_key(sk, "cfs", sk_path)
         keyfiles.save_public_key(pk, "cfs", pk_path)
@@ -93,12 +173,22 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         _, loaded_pk = keyfiles.load_public_key(pk_path)
         done = perf_counter()
         check(loaded_sk.pk == pk and loaded_pk == pk, m, t, "the reloaded key differs")
-        marks = (start, keygen, verified, saved, loaded, done)
-        for step, begin, end in zip(SETUP_STEPS, marks, marks[1:]):
-            times[step].append(end - begin)
+        record_marks(times, SETUP_STEPS, (start, keygen, verified, steady, saved, loaded, done))
+    code = sk.code
+    for _ in range(REPEAT):
+        # a fresh g carries no irreducibility verdict, as a key file's does not
+        g = gf2m.Poly(code.field, code.g.coeffs)
+        start = perf_counter()
+        built = goppa.GoppaCode(g, code.support)
+        coded = perf_counter()
+        _, parts_pk = schemes.CFS.from_parts(code, sk.perm, sk.scrambler)
+        record_marks(times, PARTS_STEPS, (start, coded, perf_counter()))
+        check(built.h == code.h, m, t, "a code built from keygen's g and support has another H")
+        check(parts_pk == pk, m, t, "from_parts on keygen's parts gives another public key")
+    time_decoder(code, times)
     w = 2 if t > 2 else 1
     mcfsc_sk, mcfsc_pk = schemes.mcfsc_keygen(m, t, w, random.Random(SEED))
-    _, tilde_pk = schemes.tilde_keygen(
+    tilde_sk, tilde_pk = schemes.tilde_keygen(
         m, t, w, random.Random(SEED), encoder_id="regular", hash_id="md-stopped"
     )
     cfg = mcfsc_pk.cfg
@@ -110,20 +200,27 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         forged = perf_counter()
         tilde_forgery = attacks.forge_tilde(MESSAGE, tilde_pk)
         tilde_forged = perf_counter()
+        # the same nonce as the forgery; a scope of its own, since nested
+        # scopes can drop the outer tally
+        with count_operations() as honest:
+            signature = schemes.mcfsc_sign(MESSAGE, mcfsc_sk, random.Random(SEED))
+        signed = perf_counter()
+        accepted = schemes.mcfsc_verify(MESSAGE, signature, mcfsc_pk)
+        verified = perf_counter()
+        tilde_signature = schemes.tilde_sign(MESSAGE, tilde_sk)
+        tilde_signed = perf_counter()
+        tilde_accepted = schemes.tilde_verify(MESSAGE, tilde_signature, tilde_pk)
+        record_marks(times, HASH_STEPS, (start, chained, forged, tilde_forged, signed, verified,
+                                         tilde_signed, perf_counter()))
         for scheme, public, f in (("mcfsc", mcfsc_pk, forgery), ("tilde", tilde_pk, tilde_forgery)):
             check(schemes.SCHEMES[scheme].verify(MESSAGE, f.signature, public), m, t,
                   f"the {scheme} forgery does not verify")
             check(not f.cost.decode_calls, m, t, f"the {scheme} forgery called the decoder")
-        times["md_final_state"].append(chained - start)
-        times["forge_mcfsc"].append(forged - chained)
-        times["forge_tilde"].append(tilde_forged - forged)
-    # the same nonce as the forgeries; its own scope, since nested scopes
-    # can drop the outer tally
-    with count_operations() as honest:
-        schemes.mcfsc_sign(MESSAGE, mcfsc_sk, random.Random(SEED))
-    check(forgery.cost.compressions == honest.compressions - 1, m, t,
-          f"the mcfsc forgery made {forgery.cost.compressions} compressions, "
-          f"the honest signer {honest.compressions}")
+        check(accepted, m, t, "an honest mcfsc signature does not verify")
+        check(tilde_accepted, m, t, "an honest tilde signature does not verify")
+        check(forgery.cost.compressions == honest.compressions - 1, m, t,
+              f"the mcfsc forgery made {forgery.cost.compressions} compressions, "
+              f"the honest signer {honest.compressions}")
     h, h_pub = mcfsc_sk.code.h, mcfsc_pk.h_pub
     row_lists = [[mat.row(i).to_int() for i in range(mat.rows)] for mat in (h, h_pub)]
     for _ in range(REPEAT):
@@ -155,27 +252,38 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     args = parser.parse_args(argv)
     rungs = []
-    print(f"{'m':>3} {'t':>2} " + " ".join(f"{step + ' min ms':>24}" for step in STEPS))
+    widths = [max(len(step), 8) for step in STEPS]
+    print("minima in ms")
+    print(f"{'m':>3} {'t':>2} " + " ".join(f"{s:>{w}}" for s, w in zip(STEPS, widths)))
     with tempfile.TemporaryDirectory() as workdir:
         for m, t in RUNGS:
             rung = time_rung(m, t, workdir)
             rungs.append(rung)
-            minima = " ".join(f"{rung[step + '_s_min'] * 1e3:24.3f}" for step in STEPS)
+            minima = " ".join(f"{rung[s + '_s_min'] * 1e3:{w}.3f}" for s, w in zip(STEPS, widths))
             print(f"{m:>3} {t:>2} {minima}", flush=True)
     record = {
-        "what": "cfs key set-up per rung: keygen, the first verify against keygen's public key "
-        "(an unsigned weight-t error, rejected), save (secret and public), load_secret_key, "
-        "load_public_key; then, on an mcfsc and a tilde key (regular encoder, md-stopped) with "
+        "what": "per rung, on a cfs key: keygen, the first verify against keygen's public key "
+        "and a steady second one (cfs_verify; an unsigned weight-t error, rejected), save "
+        "(secret and public), load_secret_key, load_public_key; GoppaCode(g, support) on a "
+        "fresh copy of keygen's g (irreducibility test included; checked: keygen's H) and "
+        "from_parts on keygen's parts (checked: keygen's public key); patterson_decode on a "
+        "batch of `batch` random syndromes that fail (decode_fail) and on `batch` planted "
+        "weight-t errors (decode_t; checked: each comes back), and Patterson's five stages "
+        "over the failing batch (checked: composed, patterson_decode's verdict on both "
+        "batches); then, on an mcfsc and a tilde key (regular encoder, md-stopped) with "
         "w = 2 (w = 1 at t = 2), md_final_state, forge_mcfsc and forge_tilde of one 8 KiB "
         "message (each forgery verified and decode-free; the mcfsc forgery makes one "
-        "compression fewer than an honest mcfsc_sign); recover_permutation(H, H_pub) on the mcfsc "
-        "key, fresh copies of both matrices per repeat (checked: P, unambiguous, at most n^2 "
-        "comparisons); seconds, one fixed seed, each step's "
-        "samples with their median and their minimum, since the median of the repeats swings "
-        "up to 2x between runs of the same code on a shared machine",
+        "compression fewer than an honest mcfsc_sign), and mcfsc_sign, mcfsc_verify, "
+        "tilde_sign and tilde_verify of honest signatures of it (checked: each verifies); "
+        "recover_permutation(H, H_pub) on the mcfsc key, fresh copies of both matrices per "
+        "repeat (checked: P, unambiguous, at most n^2 comparisons); seconds (a batch step's "
+        "for the whole batch), one fixed seed, each step's samples with their median and "
+        "their minimum, since the median of the repeats swings up to 2x between runs of "
+        "the same code on a shared machine",
         "command": " ".join(["python3", "bench/ladder.py", *(sys.argv[1:] if argv is None else argv)]),
         "seed": SEED,
         "repeat": REPEAT,
+        "batch": BATCH,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
         "rungs": rungs,

@@ -16,6 +16,8 @@ key's public key from its parts) and the public-key types decide what a
 valid key is, and a loader reports their BadParameters as KeyFormatError,
 its own being for a line it cannot parse or does not read, or a stored m
 or t at odds with the key it built.
+Each saver refuses, with BadParameters and no file, a scheme name whose
+record stores another kind of key or signature than the one it is given.
 The secret-key loader also runs `check_parameters` on the stored m and t
 before it builds anything, so a hostile t is refused before the
 irreducibility test, which costs ~t^3, can run on its g.
@@ -147,6 +149,10 @@ def save_secret_key(sk, scheme: str, path: str) -> None:
 
 
 def save_public_key(pk, scheme: str, path: str) -> None:
+    """BadParameters, and no file, unless pk is the named scheme's
+    public_key_type (a cfs key saves as mcfs)."""
+    if type(pk) is not registered(SCHEMES, scheme, "scheme").public_key_type:
+        raise BadParameters(f"a {type(pk).__name__} cannot be saved as a {scheme} key")
     m = pk.h_pub.rows // pk.t
     _write(path, _key_lines(pk, scheme, "public", m, pk.t) + _matrix_lines("H", pk.h_pub))
 
@@ -179,8 +185,13 @@ def load_public_key(path: str):
 
 
 def save_signature(sig, scheme: str, path: str) -> None:
+    """BadParameters, and no file, unless sig is the named scheme's
+    signature type (an mcfs signature saves as mcfsc)."""
+    record = registered(SCHEMES, scheme, "scheme")
+    if type(sig) is not record.signature:
+        raise BadParameters(f"a {type(sig).__name__} cannot be saved as a {scheme} signature")
     lines = [SIG_MAGIC, f"scheme {scheme}"]
-    counter = SCHEMES[scheme].counter
+    counter = record.counter
     if counter is not None:
         lines.append(f"{counter} {getattr(sig, counter)}")
     _write(path, lines + [f"bits {sig.error.n}", f"error {sig.error.to_hex()}"])

@@ -56,21 +56,47 @@ def test_cfs_key_round_trip(tmp_path):
 
 @pytest.mark.parametrize("name", ["mcfsc", "cfs"])
 def test_a_key_saved_as_another_kind_is_refused(tmp_path, name):
-    # as mcfsc the tilde key's S would be dropped and its pk would change; as
+    # as mcfsc the tilde key's S would be dropped and its pk would change, and
+    # its public key would load as an mcfsc key over the scrambled H_pub; as
     # cfs the file would carry a hash id the cfs loader refuses
-    sk, _ = tilde_keygen(5, 3, 2, random.Random(1))
+    sk, pk = tilde_keygen(5, 3, 2, random.Random(1))
     with pytest.raises(BadParameters, match=f"tilde key cannot be saved as a {name} key"):
         save_secret_key(sk, name, tmp_path / "sk")
-    assert not (tmp_path / "sk").exists()
+    with pytest.raises(BadParameters, match=f"TildePublicKey cannot be saved as a {name} key"):
+        save_public_key(pk, name, tmp_path / "pk")
+    assert not (tmp_path / "sk").exists() and not (tmp_path / "pk").exists()
 
 
 def test_a_cfs_key_saved_as_mcfs_round_trips(tmp_path):
     # cfs and mcfs store the same key; perfbench saves a cfs_keygen key as mcfs
     sk, pk = cfs_keygen(5, 3, random.Random(1))
     save_secret_key(sk, "mcfs", tmp_path / "sk")
+    save_public_key(pk, "mcfs", tmp_path / "pk")
     scheme, sk2 = load_secret_key(tmp_path / "sk")
     assert scheme == "mcfs" and sk2.scheme is SCHEMES["mcfs"] and sk2.pk == pk
+    assert load_public_key(tmp_path / "pk") == ("mcfs", pk)
     assert mcfs_verify(b"m", mcfs_sign(b"m", sk2, random.Random(2)), pk)
+
+
+@pytest.mark.parametrize("keygen, sign, name", [
+    (lambda rng: cfs_keygen(4, 3, rng), lambda sk: cfs_sign(b"m", sk), "tilde"),
+    (lambda rng: tilde_keygen(4, 3, 2, rng), lambda sk: tilde_sign(b"m", sk), "cfs"),
+], ids=["cfs-as-tilde", "tilde-as-cfs"])
+def test_a_signature_saved_as_another_scheme_is_refused(tmp_path, keygen, sign, name):
+    # as tilde a cfs signature would load back without its counter; as cfs a
+    # tilde signature has no counter to write
+    sig = sign(keygen(random.Random(6))[0])
+    with pytest.raises(BadParameters, match=f"cannot be saved as a {name} signature"):
+        save_signature(sig, name, tmp_path / "sig")
+    assert not (tmp_path / "sig").exists()
+
+
+@pytest.mark.parametrize("name", ["mcfs", "mcfsc"])
+def test_an_mcfs_signature_saves_as_mcfs_and_as_mcfsc(tmp_path, name):
+    # mcfs and mcfsc share the nonce signature
+    sig = mcfs_sign(b"m", cfs_keygen(4, 3, random.Random(2))[0], random.Random(3))
+    save_signature(sig, name, tmp_path / "sig")
+    assert load_signature(tmp_path / "sig") == (name, sig)
 
 
 def test_a_key_saved_under_an_unknown_name_is_refused(tmp_path):

@@ -69,6 +69,50 @@ def test_ties_count_for_neither_side_and_higher_can_be_better():
     assert pairs.claim_block({"w": {"sign_per_s": row}}, "w:sign_per_s:0.1", METRICS)["met"] is False
 
 
+def ladder_record(steps: dict[str, float], rungs=((4, 2), (16, 9))) -> dict:
+    """A made-up ladder record: per rung and step two samples, v and 2v."""
+    record = {"rungs": []}
+    for m, t in rungs:
+        rung = {"m": m, "t": t, "n": 1 << m, "s": 4}
+        for step, v in steps.items():
+            rung |= {f"{step}_s": [2 * v, v], f"{step}_s_median": 1.5 * v, f"{step}_s_min": v}
+        record["rungs"].append(rung)
+    return record
+
+
+def test_each_ladder_minimum_is_a_metric_named_by_step_and_rung():
+    result = pairs.ladder_result(ladder_record({"keygen": 0.5, "decode_fail": 0.02}))
+    assert result["metrics"] == {
+        "keygen@m4t2": {"value": 0.5}, "decode_fail@m4t2": {"value": 0.02},
+        "keygen@m16t9": {"value": 0.5}, "decode_fail@m16t9": {"value": 0.02},
+    }
+    assert (result["attempted"], result["failed"], result["correct"]) == (2, 0, True)
+
+
+def ladder_runs(parent_steps, change_steps) -> list[dict]:
+    return [{"pair": pair, "side": side, "workload": pairs.LADDER,
+             "result": pairs.ladder_result(ladder_record(steps(pair)))}
+            for pair in range(1, 11)
+            for side, steps in zip(pairs.SIDES, (parent_steps, change_steps))]
+
+
+def test_a_ladder_claim_and_a_step_missing_on_the_parent_side():
+    runs = ladder_runs(lambda i: {"decode_fail": 0.020 + 0.0001 * i},
+                       lambda i: {"decode_fail": 0.010 + 0.0001 * i, "goppa_code": 0.003})
+    metrics = pairs.ladder_metrics(runs)
+    assert [m["name"] for m in metrics] == [
+        "decode_fail@m4t2", "decode_fail@m16t9", "goppa_code@m4t2", "goppa_code@m16t9"]
+    summary = {pairs.LADDER: pairs.summarise(runs, pairs.LADDER, metrics)}
+    assert list(summary[pairs.LADDER]) == ["decode_fail@m4t2", "decode_fail@m16t9"]
+    row = summary[pairs.LADDER]["decode_fail@m16t9"]
+    assert (row["change_wins"], row["pairs"], row["bound"], row["verdict"]) == (10, 10, None, None)
+    assert row["parent_median"] == pytest.approx(0.02055)
+    assert pairs.claim_block(summary, "ladder:decode_fail@m16t9:0.4", metrics)["met"] is True
+    assert pairs.claim_block(summary, "ladder:decode_fail@m16t9:0.6", metrics)["met"] is False
+    missing = pairs.claim_block(summary, "ladder:goppa_code@m16t9:0.1", metrics)
+    assert missing["missing"] is True and missing["met"] is False
+
+
 @pytest.mark.skipif(not in_work_tree(), reason="needs a git work tree")
 def test_head_against_head(tmp_path):
     out = tmp_path / "BENCH_smoke.json"
