@@ -1,4 +1,5 @@
-"""`bench/ladder.py` runs end to end on its two smallest rungs.
+"""`bench/ladder.py` runs end to end on its two smallest rungs, and a failed
+check exits naming the rung.
 
 The ladder is opt-in and not collected by pytest, so this is what notices a
 rename in `cfslab` it calls or a paper check of its that no longer holds.

@@ -1,6 +1,6 @@
 """bench/pairs.py, the parent/change pair runner: its summary and claim
-rules on made-up runs, and one zero-second cfs-retry pair of HEAD against
-HEAD."""
+rules on made-up runs and made-up ladder records, and one zero-second
+cfs-retry pair of HEAD against HEAD."""
 
 import importlib.util
 import json
