@@ -8,13 +8,14 @@ this repository; `bench/pairs.py --workload ladder` pairs two revisions of it.
 For each rung (m, t) it times, on this checkout's `src/`, REPEAT times each:
 
 - cfs key set-up: keygen with `random.Random(SEED)`, the first `cfs_verify`
-  against the public key that keygen returned, a second, steady one,
-  saving the secret and the public key, and loading each back
-  (`load_secret_key`, `load_public_key`).  Every rung draws the same key on
-  every repeat.  The verified signature is a weight-t error that no counter
-  was decoded for, so verify must reject it; the first verify times the
-  first product by H_pub, which transposes its column list (keygen builds
-  H_pub from rows), the steady one a verify as every later one runs.
+  against the public key that keygen returned, BATCH steady ones after it
+  (`cfs_verify_batch`), saving the secret and the public key, and loading
+  each back (`load_secret_key`, `load_public_key`).  Every rung draws the
+  same key on every repeat.  The verified signature is a weight-t error
+  that no counter was decoded for, so verify must reject it; the first
+  verify times the first product by H_pub, which transposes its column
+  list (keygen builds H_pub from rows), the batch verifies as every later
+  one runs.  One steady verify takes ~10-50 us, too short to time alone.
 - the key's parts: `GoppaCode(g, support)` on a fresh copy of keygen's g,
   so that the irreducibility test runs as a key load pays it, and
   `from_parts` on keygen's code, P and S.  The fresh code's H must be
@@ -74,7 +75,7 @@ from cfslab.metering import count_operations  # noqa: E402
 # is still within reach
 RUNGS = [(4, 2), (5, 3), (6, 4), (7, 4), (8, 5), (9, 5), (10, 4), (11, 6), (12, 8),
          (13, 8), (14, 9), (15, 9), (16, 9)]
-SETUP_STEPS = ("keygen", "first_verify", "cfs_verify", "save", "load_secret_key",
+SETUP_STEPS = ("keygen", "first_verify", "cfs_verify_batch", "save", "load_secret_key",
                "load_public_key")
 PARTS_STEPS = ("goppa_code", "from_parts")
 DECODE_STEPS = ("decode_fail", "decode_t")
@@ -162,7 +163,8 @@ def time_rung(m: int, t: int, workdir: str) -> dict:
         keygen = perf_counter()
         accepted = schemes.cfs_verify(b"ladder", unsigned, pk)
         verified = perf_counter()
-        accepted |= schemes.cfs_verify(b"ladder", unsigned, pk)
+        for _ in range(BATCH):
+            accepted |= schemes.cfs_verify(b"ladder", unsigned, pk)
         steady = perf_counter()
         check(not accepted, m, t, "verify accepted an error that was never signed")
         keyfiles.save_secret_key(sk, "cfs", sk_path)
@@ -263,7 +265,8 @@ def main(argv=None) -> int:
             print(f"{m:>3} {t:>2} {minima}", flush=True)
     record = {
         "what": "per rung, on a cfs key: keygen, the first verify against keygen's public key "
-        "and a steady second one (cfs_verify; an unsigned weight-t error, rejected), save "
+        "and `batch` steady ones after it (cfs_verify_batch; an unsigned weight-t error, "
+        "rejected), save "
         "(secret and public), load_secret_key, load_public_key; GoppaCode(g, support) on a "
         "fresh copy of keygen's g (irreducibility test included; checked: keygen's H) and "
         "from_parts on keygen's parts (checked: keygen's public key); patterson_decode on a "

@@ -10,28 +10,33 @@ big-endian and byte-aligned regardless of length.  Coordinate i is bit
 little-endian int codec: `int.from_bytes`/`int.to_bytes` do the rest.
 Matrices have no text form here; the key files write one as a hex row
 per line (`keyfiles`).
-The same trick transposes.  `transpose_bits` lays the values out as bytes,
-last value first: values of at most 16 bits (the support and the permuted
-support, n field elements per Goppa build) in one little-endian
-`struct.pack` of one or two bytes each, wider ones (matrix rows read as
-columns) one `int.to_bytes` each.  One `bytes.translate` per bit position
-of a byte turns the whole buffer into ASCII digits, and output row b is
-then one strided slice, byte b >> 3 of every value in the digits of bit
-b & 7, read by one `int(..., 2)`: two C-level calls a row, and no loop per
-bit or per value in the interpreter.
+`transpose_bits` has one layout per shape, and no loop per bit in the
+interpreter.  Many narrow values (at most 16 bits: the support and the
+permuted support, n field elements per Goppa build) are laid out as bytes,
+last value first, by one little-endian `struct.pack`; one `bytes.translate`
+per bit position of a byte turns the buffer into ASCII digits, and output
+row b is one strided slice of them read by one `int(..., 2)`.  Wider
+values (matrix rows read as columns) are spread one bit per byte by
+`format`, and `bytes.translate` turns value k of each group of eight into
+bit k of the byte: the eight, OR-ed, are one byte lane per output row.  The
+lanes are interleaved into one buffer, so an output row is a run of
+adjacent bytes: up to 64 values, eight bytes read by one
+`struct.unpack("<{n}Q")` for all rows; more, one `int.from_bytes` a row.
 
 A matrix's columns are computed once: `columns()` transposes on its first
 call and keeps the tuple, which `mat_vec` and `codehash.HashConfig` read.
 No matrix is handed a column list: H*P is built from rows
 (`goppa.GoppaCode.permuted_h`), so a public key's list is transposed by
 whichever reads it first: `HashConfig` at set-up for mcfsc and tilde, the
-first verify for cfs and mcfs.  A column list costs ~0.4-1 ms to transpose
-at 40 x 1024 and ~0.06-0.13 s at 144 x 65536 (m = 16), where it holds
-~3.3 MiB.
+first verify for cfs and mcfs.  A column list costs ~0.15-0.25 ms to
+transpose at 40-60 x 1024 and ~30-40 ms at 144 x 65536 (m = 16), where it
+holds ~3.3 MiB and the transpose ~1.2 MiB more while it runs.
 
-`inverse` keeps its result on the matrix as well, "singular" included, so
-S^-1 lives on S alone: the draw `rand_invertible` accepts carries it to the
-secret key's invertibility check, and every signature reads it from there.
+`rank` and `rand_invertible` keep an XOR basis keyed by leading bit: no
+inverse, and no elimination over all n columns of H.  `inverse` keeps its
+result on the matrix, "singular" included, so S^-1 lives on S alone: the
+secret key's invertibility check computes it once, and every signature
+reads it from there.
 
 `mat_vec` reads a matrix through a table: a matrix of at most 256 columns
 (every scrambler inverse S^-1, H and H_pub at m <= 8) gets "four
@@ -41,7 +46,9 @@ columns 8k + j for the set bits j of b, so a product is one XOR per byte
 of v.  Costs: ceil(cols/8) tables of 256 ints of `rows` bits, ~0.2 MiB at
 144 x 144.  A wider matrix (H and H_pub at m >= 9) is read through its
 column list, and a product is one XOR per set bit of v, as cheap as the
-sparse error vectors and regular words it meets.
+sparse error vectors and regular words it meets.  `mat_mul` reads the
+rows of b through the same kind of tables, over 6 rows each, built one at
+a time and not kept.
 
 `Permutation(mapping)` checks the mapping and builds its inverse in one
 pass, one write per entry.
@@ -54,6 +61,7 @@ equality and hashing ignore them.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 
 from .errors import DimensionError
 from .metering import tick_matvec
@@ -67,24 +75,39 @@ _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # `bytes.translate` turns a byte per value into a binary numeral
 _BIT_DIGITS = [bytes(0x30 | (v >> b) & 1 for v in range(256)) for b in range(8)]
 
+# _LANE_BITS[k] maps the ASCII digit "1" to bit k of a byte and "0" to 0
+_LANE_BITS = [bytes((v & 1) << k for v in range(256)) for k in range(8)]
+
 
 def transpose_bits(values: list[int], width: int) -> list[int]:
     """Transpose non-negative ints below 2^width into width packed rows:
     bit i of row b is bit b of values[i]."""
     if not values:
         return [0] * width  # int(b"", 2) would raise
-    # int(..., 2) reads the most significant digit first: values[0] goes last
     if width <= 16:  # field elements: one struct.pack, little-endian everywhere
+        # int(..., 2) reads the most significant digit first: values[0] goes last
         nb = 1 if width <= 8 else 2
         data = struct.pack(f"<{len(values)}{'BH'[nb - 1]}", *reversed(values))
-    else:
-        nb = (width + 7) // 8
-        data = b"".join([v.to_bytes(nb, "little") for v in reversed(values)])
-    rows = [0] * width
-    for k, table in enumerate(_BIT_DIGITS[: min(width, 8)]):
-        digits = data.translate(table)  # one copy of the buffer alive at a time
-        rows[k::8] = [int(digits[b >> 3 :: nb], 2) for b in range(k, width, 8)]
-    return rows
+        rows = [0] * width
+        for k, table in enumerate(_BIT_DIGITS[: min(width, 8)]):
+            digits = data.translate(table)  # one copy of the buffer alive at a time
+            rows[k::8] = [int(digits[b >> 3 :: nb], 2) for b in range(k, width, 8)]
+        return rows
+    # byte g of output row b, at offset b * stride + g, holds bit b of values
+    # 8g..8g+7, value 8g + k in bit k; format puts bit 0 last, so each lane
+    # is read big-endian
+    fmt = f"0{width}b"
+    lanes = (len(values) + 7) // 8
+    stride = max(lanes, 8)
+    buf = bytearray(stride * width)
+    for g in range(lanes):
+        lane = 0
+        for table, v in zip(_LANE_BITS, values[8 * g : 8 * g + 8]):
+            lane |= int.from_bytes(format(v, fmt).encode().translate(table), "big")
+        buf[g::stride] = lane.to_bytes(width, "little")
+    if stride == 8:
+        return list(struct.unpack(f"<{width}Q", buf))
+    return [int.from_bytes(row, "little") for (row,) in struct.iter_unpack(f"{stride}s", buf)]
 
 
 class BitVector:
@@ -343,21 +366,24 @@ class Permutation:
 # widest matrix that mat_vec reads through byte-chunk tables
 _CHUNKED_MAX_COLS = 256
 
+# rows of b per mat_mul table: 64 entries, faster than 256 at every
+# S * (H * P) shape from m = 5 to m = 16
+_MUL_CHUNK_BITS = 6
+
 _set_columns = BitMatrix._columns.__set__
 _set_table = BitMatrix._table.__set__
 _set_inverse = BitMatrix._inverse.__set__
 
 
-def _chunk_tables(cols: list[int]) -> list[list[int]]:
-    """Per 8 columns, the XOR of every subset of them, indexed by the
-    subset's bits; the last table is shorter when len(cols) % 8 != 0."""
-    tables = []
-    for k in range(0, len(cols), 8):
+def _chunk_tables(vecs: list[int], bits: int) -> Iterator[list[int]]:
+    """Per `bits` vectors, the XOR of every subset of them, indexed by the
+    subset's bits; the last table is shorter when len(vecs) % bits != 0.
+    Yielded one table at a time."""
+    for k in range(0, len(vecs), bits):
         table = [0]
-        for c in cols[k : k + 8]:
+        for c in vecs[k : k + bits]:
             table += [x ^ c for x in table]
-        tables.append(table)
-    return tables
+        yield table
 
 
 def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
@@ -371,7 +397,7 @@ def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
     if mat.cols <= _CHUNKED_MAX_COLS:
         table = mat._table
         if table is None:  # threads that race here build equal tables; either may stay
-            table = _chunk_tables(mat.columns())
+            table = list(_chunk_tables(mat.columns(), 8))
             _set_table(mat, table)
         for chunk, byte in zip(table, bits.to_bytes(len(table), "little")):
             acc ^= chunk[byte]
@@ -385,19 +411,17 @@ def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2); row i of the result is the XOR of the
-    rows of b selected by row i of a."""
+    """Matrix product over GF(2): row i of the result is the XOR of the rows
+    of b selected by row i of a, read `_MUL_CHUNK_BITS` rows of b at a time
+    through one chunk table, so one XOR per chunk of a's row.  One table
+    of 64 entries is alive at a time, ~0.5 MiB at 144 x 65536."""
     if a.cols != b.rows:
         raise DimensionError(f"{a.cols}-column times {b.rows}-row product")
-    out = []
-    for r in a._rows:
-        acc = 0
-        bits = r
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            acc ^= b._rows[j]
-            bits &= bits - 1
-        out.append(acc)
+    mask = (1 << _MUL_CHUNK_BITS) - 1
+    out = [0] * a.rows
+    for k, table in enumerate(_chunk_tables(b._rows, _MUL_CHUNK_BITS)):
+        shift = k * _MUL_CHUNK_BITS
+        out = [acc ^ table[r >> shift & mask] for acc, r in zip(out, a._rows)]
     return BitMatrix(a.rows, b.cols, out)
 
 
@@ -430,8 +454,33 @@ def _rref(row_ints: list[int], cols: int) -> tuple[list[int], list[int]]:
     return rows, pivots
 
 
+def _basis_rank(row_ints: list[int]) -> int:
+    """Rank of packed rows: an XOR basis keyed by leading bit, which each
+    row is reduced by until its leading bit is new or nothing is left."""
+    basis = {}
+    for row in row_ints:
+        while row:
+            lead = row.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            row ^= pivot
+    return len(basis)
+
+
 def rank(mat: BitMatrix) -> int:
-    return len(_rref(mat._rows, mat.cols)[1])
+    """Rank over GF(2), from the first 2 * rows columns: when those already
+    have full row rank, so has the matrix.  Only when they fall short is
+    the window doubled, up to the full width.  H at m = 16 is 65536
+    columns wide; its rows cut to 288 bits keep every XOR short."""
+    rows, window = mat._rows, 2 * mat.rows
+    while window < mat.cols:
+        low = (1 << window) - 1
+        if _basis_rank([row & low for row in rows]) == mat.rows:
+            return mat.rows
+        window *= 2
+    return _basis_rank(rows)
 
 
 def inverse(mat: BitMatrix) -> BitMatrix | None:
@@ -450,10 +499,12 @@ def inverse(mat: BitMatrix) -> BitMatrix | None:
 
 
 def rand_invertible(r: int, rng) -> BitMatrix:
-    """A uniformly random invertible r x r matrix, its inverse kept."""
+    """A uniformly random invertible r x r matrix: r rows of r random bits,
+    drawn again until they have full rank.  No inverse is computed here:
+    `inverse` computes it once, for the one draw that is kept."""
     if r < 1:
         raise DimensionError("size must be positive")
     while True:
-        m = BitMatrix(r, r, [rng.getrandbits(r) for _ in range(r)])
-        if inverse(m) is not None:
-            return m
+        rows = [rng.getrandbits(r) for _ in range(r)]
+        if _basis_rank(rows) == r:
+            return BitMatrix(r, r, rows)

@@ -4,13 +4,26 @@ product, the per-position Goppa parity-check build, column permutation by
 picking columns, permutation matrices, kernel bases, rank by an XOR basis
 and the random invertible matrix it accepts, a quadratic with no root in
 the field, SHA-256 in counter mode one block at a time, and the verifier as
-a separate gate plus a comparison of digest vectors."""
+a separate gate plus a comparison of digest vectors.
+
+Also the earlier GF(2) kernels that `linalg`'s faster ones must agree with
+bit for bit: the transpose through ASCII digits of every value's bytes,
+rank by row reduction over every column, the product by one XOR per set
+bit, and the draw-and-invert loop for a random invertible matrix."""
 
 import hashlib
 
 from cfslab.errors import DimensionError
 from cfslab.gf2m import GF2m, Poly
-from cfslab.linalg import BitMatrix, BitVector, Permutation, _rref, mat_vec, transpose_bits
+from cfslab.linalg import (
+    BitMatrix,
+    BitVector,
+    Permutation,
+    _rref,
+    inverse,
+    mat_vec,
+    transpose_bits,
+)
 from cfslab.schemes import counter_width
 
 
@@ -120,6 +133,58 @@ def rand_invertible_by_rank(r: int, rng) -> BitMatrix:
         rows = [rng.getrandbits(r) for _ in range(r)]
         if rank_by_basis(rows) == r:
             return BitMatrix(r, r, rows)
+
+
+# DIGITS[b] maps a byte to the ASCII digit of its bit b
+DIGITS = [bytes(0x30 | (v >> b) & 1 for v in range(256)) for b in range(8)]
+
+
+def transpose_by_digits(values: list[int], width: int) -> list[int]:
+    """Reference for `linalg.transpose_bits`: every value's bytes, last value
+    first, turned into ASCII digits one bit position of a byte at a time;
+    output row b is byte b >> 3 of every value in the digits of bit b & 7,
+    read by one `int(..., 2)`."""
+    if not values:
+        return [0] * width
+    nb = max(1, (width + 7) // 8)
+    data = b"".join([v.to_bytes(nb, "little") for v in reversed(values)])
+    rows = [0] * width
+    for k, table in enumerate(DIGITS[: min(width, 8)]):
+        digits = data.translate(table)
+        rows[k::8] = [int(digits[b >> 3 :: nb], 2) for b in range(k, width, 8)]
+    return rows
+
+
+def rank_by_rref(mat: BitMatrix) -> int:
+    """Reference for `linalg.rank`: the pivots of a row reduction over every
+    column."""
+    return len(_rref([mat.row(i).to_int() for i in range(mat.rows)], mat.cols)[1])
+
+
+def mat_mul_by_set_bits(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Reference for `linalg.mat_mul`: row i is the XOR of the rows of b at
+    the set bits of row i of a, one set bit at a time."""
+    if a.cols != b.rows:
+        raise DimensionError(f"{a.cols}-column times {b.rows}-row product")
+    b_rows = [b.row(j).to_int() for j in range(b.rows)]
+    out = []
+    for i in range(a.rows):
+        acc = 0
+        bits = a.row(i).to_int()
+        while bits:
+            acc ^= b_rows[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
+        out.append(acc)
+    return BitMatrix(a.rows, b.cols, out)
+
+
+def rand_invertible_by_inverse(r: int, rng) -> BitMatrix:
+    """Reference for `linalg.rand_invertible`: r rows of r random bits, drawn
+    again until `inverse` finds an inverse."""
+    while True:
+        m = BitMatrix(r, r, [rng.getrandbits(r) for _ in range(r)])
+        if inverse(m) is not None:
+            return m
 
 
 def rootless_quadratic(field: GF2m) -> Poly:

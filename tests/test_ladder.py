@@ -29,7 +29,7 @@ def test_ladder_runs_its_checks_on_the_smallest_rungs(tmp_path, monkeypatch):
     assert ladder.main(["--out", str(out)]) == 0
     rungs = json.loads(out.read_text())["rungs"]
     assert [(r["m"], r["t"]) for r in rungs] == [(4, 2), (5, 3)]
-    assert {"forge_tilde", "recover_permutation", "cfs_verify", "goppa_code", "from_parts",
+    assert {"forge_tilde", "recover_permutation", "cfs_verify_batch", "goppa_code", "from_parts",
             "decode_fail", "decode_t", "syndrome_poly", "poly_mod_inv", "poly_sqrt_mod_g",
             "partial_euclid", "root_mask", "mcfsc_sign", "mcfsc_verify", "tilde_sign",
             "tilde_verify"} <= set(ladder.STEPS)

@@ -5,6 +5,7 @@ import pytest
 from cfslab import linalg
 from cfslab.codehash import HashConfig
 from cfslab.errors import DimensionError
+from cfslab.goppa import goppa_keygen
 from cfslab.keyfiles import load_public_key, load_secret_key, save_public_key, save_secret_key
 from cfslab.linalg import (
     BitMatrix,
@@ -18,16 +19,20 @@ from cfslab.linalg import (
     transpose_bits,
 )
 from cfslab.metering import count_operations
-from cfslab.schemes import cfs_keygen, mcfsc_keygen
+from cfslab.schemes import cfs_keygen, cfs_sign, mcfsc_keygen
 from oracles import (
     as_matrix,
     from_bits,
     kernel_basis,
+    mat_mul_by_set_bits,
     mat_vec_rows,
     permute_columns,
+    rand_invertible_by_inverse,
     rand_invertible_by_rank,
     rank_by_basis,
+    rank_by_rref,
     transpose,
+    transpose_by_digits,
 )
 
 
@@ -176,10 +181,26 @@ def test_inverse_is_eliminated_once_and_kept(monkeypatch, r):
     assert s == BitMatrix(r, r, s._rows) and hash(s) == hash(BitMatrix(r, r, s._rows))
 
 
-def test_rand_invertible_hands_on_its_inverse(monkeypatch):
-    s = rand_invertible(40, random.Random(41))
+def test_rand_invertible_leaves_the_inverse_to_the_secret_key(monkeypatch):
+    # a draw is tested by its rank; the secret key's check inverts the one S
+    # it keeps, once, and signing reads S^-1 from S
     calls = counting_rref(monkeypatch)
-    assert mat_mul(s, inverse(s)) == BitMatrix.identity(40) and calls == []
+    s = rand_invertible(40, random.Random(41))
+    assert calls == [] and s._inverse is None
+    sk, _ = cfs_keygen(5, 3, random.Random(5))
+    assert len(calls) == 1 and inverse(sk.scrambler) is sk.scrambler._inverse
+    for i in range(3):
+        cfs_sign(b"once %d" % i, sk)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 8, 15, 40, 72, 144])
+def test_rand_invertible_draws_as_the_draw_and_invert_loop(r):
+    # the same S from the same draws, and the RNG left in the same state
+    for seed in range(8 if r < 72 else 3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert rand_invertible(r, rng) == rand_invertible_by_inverse(r, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 8, 15, 40, 64])
@@ -199,6 +220,86 @@ def test_rank_matches_the_basis_oracle(r, c):
         # sparse rows, so that rank-deficient matrices come up too
         rows = [rng.getrandbits(c) & rng.getrandbits(c) for _ in range(r)]
         assert rank(BitMatrix(r, c, rows)) == rank_by_basis(rows)
+
+
+def planted_rank_cases(rng):
+    """(rows, cols, row ints) with dependent rows planted: XORs of earlier
+    rows, zero rows and repeats, in random order."""
+    for r, c in [(1, 1), (5, 5), (8, 30), (12, 7), (40, 1024), (60, 200)]:
+        for _ in range(5):
+            rows = [rng.getrandbits(c) for _ in range(r)]
+            for i in rng.sample(range(r), r // 3):
+                picked = rng.sample(rows, rng.randint(0, min(3, r)))
+                rows[i] = 0
+                for row in picked:
+                    rows[i] ^= row
+            rng.shuffle(rows)
+            yield r, c, rows
+
+
+def test_rank_matches_elimination_with_planted_dependencies():
+    for r, c, rows in planted_rank_cases(random.Random(17)):
+        mat = BitMatrix(r, c, rows)
+        assert rank(mat) == rank_by_rref(mat) == rank_by_basis(rows)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full-rank", "deficient"])
+@pytest.mark.parametrize("r,c", [(3, 100), (6, 1024), (40, 1024)])
+def test_rank_widens_a_window_that_comes_up_short(monkeypatch, r, c, full):
+    # the last row has nothing in the first 4r columns, so two windows come
+    # up short; the full-rank case then finds it further right, and the
+    # deficient one is read over the full width
+    rng = random.Random(r * c)
+    rows = [rng.getrandbits(c) for _ in range(r - 1)]
+    rows.append(rng.getrandbits(c) >> 4 * r << 4 * r if full else rows[0] ^ rows[-1])
+    mat = BitMatrix(r, c, rows)
+    calls = []
+    basis_rank = linalg._basis_rank
+    monkeypatch.setattr(linalg, "_basis_rank", lambda rows: calls.append(rows) or basis_rank(rows))
+    assert rank(mat) == rank_by_rref(mat) == (r if full else r - 1)
+    assert len(calls) >= 3
+
+
+@pytest.mark.parametrize("r,c", [(0, 0), (0, 9), (9, 0), (1, 0), (0, 1024)])
+def test_rank_of_an_empty_matrix_is_zero(r, c):
+    assert rank(BitMatrix(r, c)) == 0 == rank_by_rref(BitMatrix(r, c))
+
+
+@pytest.mark.parametrize("m,t", [(5, 3), (10, 4), (12, 8)])
+def test_rank_of_goppa_parity_checks_matches_elimination(m, t):
+    h = goppa_keygen(m, t, random.Random(m * t)).h
+    assert rank(h) == rank_by_rref(h) == m * t
+
+
+@pytest.mark.parametrize("a_rows,inner,b_cols", [
+    (0, 8, 20),  # a with no rows
+    (0, 0, 0),
+    (4, 0, 9),  # nothing to sum: zero rows
+    (7, 13, 21),  # b.rows not a multiple of 8, nor of a table's 6 rows
+    (40, 40, 1024),  # S * (H * P) at m = 10, t = 4
+    (60, 60, 1024),
+    (5, 300, 17),  # a tall b
+    (3, 1031, 2),
+])
+def test_mat_mul_matches_one_xor_per_set_bit(a_rows, inner, b_cols):
+    rng = random.Random(a_rows * 7919 + inner * 31 + b_cols)
+    for _ in range(5):
+        a, b = random_matrix(a_rows, inner, rng), random_matrix(inner, b_cols, rng)
+        assert mat_mul(a, b) == mat_mul_by_set_bits(a, b)
+    dense = BitMatrix(a_rows, inner, [(1 << inner) - 1] * a_rows)
+    assert mat_mul(dense, b) == mat_mul_by_set_bits(dense, b)
+
+
+@pytest.mark.parametrize("width", [17, 32, 60, 1024])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 63, 64, 65, 72, 144])
+def test_transpose_bits_matches_the_digit_transpose(width, count):
+    # up to 64 values fill one 8-byte lane word per row; 65 and more take
+    # one int per row
+    rng = random.Random(width * 101 + count)
+    values = [rng.getrandbits(width) for _ in range(count)]
+    if count:
+        values[-1] = (1 << width) - 1
+    assert transpose_bits(values, width) == transpose_by_digits(values, width)
 
 
 def test_vector_bytes_round_trip():
