@@ -10,18 +10,19 @@ big-endian and byte-aligned regardless of length.  Coordinate i is bit
 little-endian int codec: `int.from_bytes`/`int.to_bytes` do the rest.
 Matrices have no text form here; the key files write one as a hex row
 per line (`keyfiles`).
-`transpose_bits` has one layout per shape, and no loop per bit in the
-interpreter.  Many narrow values (at most 16 bits: the support and the
-permuted support, n field elements per Goppa build) are laid out as bytes,
-last value first, by one little-endian `struct.pack`; one `bytes.translate`
-per bit position of a byte turns the buffer into ASCII digits, and output
-row b is one strided slice of them read by one `int(..., 2)`.  Wider
-values (matrix rows read as columns) are spread one bit per byte by
-`format`, and `bytes.translate` turns value k of each group of eight into
-bit k of the byte: the eight, OR-ed, are one byte lane per output row.  The
-lanes are interleaved into one buffer, so an output row is a run of
-adjacent bytes: up to 64 values, eight bytes read by one
-`struct.unpack("<{n}Q")` for all rows; more, one `int.from_bytes` a row.
+
+`transpose_bits` runs no loop per bit in the interpreter, with one layout
+per kind of input.  Narrow values (at most 16 bits: n field elements per
+Goppa build, too many for a call each) are packed by one little-endian
+`struct.pack`, last value first; one `bytes.translate` per bit position of
+a byte turns the buffer into ASCII digits, and output row b is one strided
+slice of them read by one `int(..., 2)`.  Wide values (matrix rows, read
+as columns) are few: each is spread one bit per byte by `format`, and
+`bytes.translate` puts value k of each group of eight on bit k, so the
+eight OR-ed make a byte lane with one byte per output row.  Interleaved,
+the lanes make each output row a run of adjacent bytes: one
+`struct.unpack("<{n}Q")` reads every row of up to 64 values, and one
+`int.from_bytes` per row reads more.
 
 A matrix's columns are computed once: `columns()` transposes on its first
 call and keeps the tuple, which `mat_vec` and `codehash.HashConfig` read.
