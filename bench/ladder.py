@@ -15,7 +15,8 @@ For each rung (m, t) it times, on this checkout's `src/`, REPEAT times each:
   that no counter was decoded for, so verify must reject it; the first
   verify times the first product by H_pub, which transposes its column
   list (keygen builds H_pub from rows), the batch verifies as every later
-  one runs.  One steady verify takes ~10-50 us, too short to time alone.
+  one runs.  One steady verify takes a few microseconds, too short to time
+  alone.
 - the key's parts: `GoppaCode(g, support)` on a fresh copy of keygen's g,
   so that the irreducibility test runs as a key load pays it, and
   `from_parts` on keygen's code, P and S.  The fresh code's H must be

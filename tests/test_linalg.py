@@ -223,8 +223,8 @@ def test_rank_matches_the_basis_oracle(r, c):
 
 
 def planted_rank_cases(rng):
-    """(rows, cols, row ints) with dependent rows planted: XORs of earlier
-    rows, zero rows and repeats, in random order."""
+    """(rows, cols, row ints) with a third of the rows replaced by the XOR
+    of up to three rows (none gives a zero row, one a repeat), shuffled."""
     for r, c in [(1, 1), (5, 5), (8, 30), (12, 7), (40, 1024), (60, 200)]:
         for _ in range(5):
             rows = [rng.getrandbits(c) for _ in range(r)]
