@@ -265,25 +265,8 @@ def main(argv=None) -> int:
             minima = " ".join(f"{rung[s + '_s_min'] * 1e3:{w}.3f}" for s, w in zip(STEPS, widths))
             print(f"{m:>3} {t:>2} {minima}", flush=True)
     record = {
-        "what": "per rung, on a cfs key: keygen, the first verify against keygen's public key "
-        "and `batch` steady ones after it (cfs_verify_batch; an unsigned weight-t error, "
-        "rejected), save "
-        "(secret and public), load_secret_key, load_public_key; GoppaCode(g, support) on a "
-        "fresh copy of keygen's g (irreducibility test included; checked: keygen's H) and "
-        "from_parts on keygen's parts (checked: keygen's public key); patterson_decode on a "
-        "batch of `batch` random syndromes that fail (decode_fail) and on `batch` planted "
-        "weight-t errors (decode_t; checked: each comes back), and Patterson's five stages "
-        "over the failing batch (checked: composed, patterson_decode's verdict on both "
-        "batches); then, on an mcfsc and a tilde key (regular encoder, md-stopped) with "
-        "w = 2 (w = 1 at t = 2), md_final_state, forge_mcfsc and forge_tilde of one 8 KiB "
-        "message (each forgery verified and decode-free; the mcfsc forgery makes one "
-        "compression fewer than an honest mcfsc_sign), and mcfsc_sign, mcfsc_verify, "
-        "tilde_sign and tilde_verify of honest signatures of it (checked: each verifies); "
-        "recover_permutation(H, H_pub) on the mcfsc key, fresh copies of both matrices per "
-        "repeat (checked: P, unambiguous, at most n^2 comparisons); seconds (a batch step's "
-        "for the whole batch), one fixed seed, each step's samples with their median and "
-        "their minimum, since the median of the repeats swings up to 2x between runs of "
-        "the same code on a shared machine",
+        # the docstring from its step list on, on one line
+        "what": " ".join(__doc__.split("\n\n", 2)[2].split()),
         "command": " ".join(["python3", "bench/ladder.py", *(sys.argv[1:] if argv is None else argv)]),
         "seed": SEED,
         "repeat": REPEAT,

@@ -23,7 +23,7 @@ import sys
 
 from . import attacks, codehash, keyfiles, schemes
 from .errors import CfsLabError
-from .goppa import decodable_census, goppa_keygen
+from .goppa import check_census_size, check_parameters, decodable_census, goppa_keygen
 from .metering import count_operations
 
 
@@ -125,6 +125,8 @@ def _cmd_recover_perm(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    check_parameters(args.m, args.t)
+    check_census_size(args.m * args.t)
     rng = _rng(args.seed)
     code = goppa_keygen(args.m, args.t, rng)
     report = decodable_census(code)

@@ -51,7 +51,9 @@ class HashConfig:
 
     def __init__(self, h_matrix: BitMatrix, w: int):
         n = h_matrix.cols
-        if w < 1 or n % w:
+        if w < 1:
+            raise BadParameters(f"block count w={w} must be at least 1")
+        if n % w:
             raise BadParameters(f"block count w={w} must divide n={n}")
         l = n // w
         if l < 2 or l & (l - 1):

@@ -317,6 +317,12 @@ class CensusReport:
 CENSUS_LIMIT = 24
 
 
+def check_census_size(r: int) -> None:
+    """CensusInfeasible when 2^r syndromes, r = n - k, are too many to sweep."""
+    if r > CENSUS_LIMIT:
+        raise CensusInfeasible(f"2^{r} syndromes is past the exhaustive limit")
+
+
 def decodable_census(code: GoppaCode) -> CensusReport:
     """Run the decoder over every syndrome and count the successes.
 
@@ -325,8 +331,7 @@ def decodable_census(code: GoppaCode) -> CensusReport:
     decoder is sound.  Disagreement is reported, never papered over.
     """
     r = code.n_minus_k
-    if r > CENSUS_LIMIT:
-        raise CensusInfeasible(f"2^{r} syndromes is past the exhaustive limit")
+    check_census_size(r)
     decodable = 0
     for value in range(1 << r):
         if patterson_decode(code, BitVector(r, value)) is not None:

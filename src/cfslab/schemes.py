@@ -183,9 +183,9 @@ class McfscPublicKey:
 
     def __post_init__(self):
         _check_shape(self.h_pub, self.t)
-        if not 1 <= self.w < self.t:
+        if self.w >= self.t:
             raise BadParameters(f"block count w={self.w} must be less than t={self.t}")
-        # HashConfig validates divisibility and the power-of-two block size
+        # HashConfig validates w >= 1, divisibility and the power-of-two block size
         object.__setattr__(self, "cfg", HashConfig(self.h_pub, self.w))
 
     @property

@@ -8,8 +8,10 @@ a separate gate plus a comparison of digest vectors.
 
 Also the earlier GF(2) kernels that `linalg`'s faster ones must agree with
 bit for bit: the transpose through ASCII digits of every value's bytes,
-rank by row reduction over every column, the product by one XOR per set
-bit, and the draw-and-invert loop for a random invertible matrix."""
+rank by row reduction over every column, the inverse by row reduction
+beside the identity (`_rref`, the elimination `linalg` had before its XOR
+basis), the product by one XOR per set bit, and the draw-and-invert loop
+for a random invertible matrix."""
 
 import hashlib
 
@@ -19,7 +21,6 @@ from cfslab.linalg import (
     BitMatrix,
     BitVector,
     Permutation,
-    _rref,
     inverse,
     mat_vec,
     transpose_bits,
@@ -95,6 +96,35 @@ def as_matrix(p: Permutation) -> BitMatrix:
     return BitMatrix(p.n, p.n, [1 << j for j in p.inverse().mapping])
 
 
+def _rref(row_ints: list[int], cols: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form on a copy; returns (rows, pivot cols).
+
+    Augmented columns may ride along above `cols`; they are eliminated with
+    the rest of the row but never chosen as pivots.
+    """
+    rows = list(row_ints)
+    height = len(rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        mask = 1 << c
+        for i in range(r, height):
+            if rows[i] & mask:
+                break
+        else:
+            continue
+        pivot = rows[i]
+        rows[i] = rows[r]
+        # the pivot row clears its own bit too, so it is put back after
+        rows = [row ^ pivot if row & mask else row for row in rows]
+        rows[r] = pivot
+        pivots.append(c)
+        r += 1
+        if r == height:
+            break
+    return rows, pivots
+
+
 def kernel_basis(mat: BitMatrix) -> list[BitVector]:
     """Basis of the right kernel {x : mat * x = 0}."""
     n = mat.cols
@@ -113,7 +143,7 @@ def kernel_basis(mat: BitMatrix) -> list[BitVector]:
 
 
 def rank_by_basis(row_ints) -> int:
-    """Rank over GF(2) without `linalg._rref`: each row is reduced by an XOR
+    """Rank over GF(2) without `_rref`: each row is reduced by an XOR
     basis kept in descending order, so distinct leading bits, and a row
     left nonzero joins it."""
     basis = []
@@ -159,6 +189,15 @@ def rank_by_rref(mat: BitMatrix) -> int:
     """Reference for `linalg.rank`: the pivots of a row reduction over every
     column."""
     return len(_rref([mat.row(i).to_int() for i in range(mat.rows)], mat.cols)[1])
+
+
+def inverse_by_rref(mat: BitMatrix) -> BitMatrix | None:
+    """Reference for `linalg.inverse`: [S | I] reduced over S's columns; None
+    when fewer than n pivots are found."""
+    n = mat.cols
+    aug = [mat.row(i).to_int() | 1 << (n + i) for i in range(n)]
+    rows, pivots = _rref(aug, n)
+    return BitMatrix(n, n, [r >> n for r in rows]) if len(pivots) == n else None
 
 
 def mat_mul_by_set_bits(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cfslab import cli
 from cfslab.cli import run
 
 
@@ -94,6 +95,17 @@ def test_census_record(capsys):
     assert record["t_factorial_approx"] == pytest.approx(0.5)
 
 
+def test_census_past_the_limit_draws_no_key(monkeypatch, capsys):
+    # m=16, t=400 is a valid (m, t), but its 2^6400 syndromes are refused
+    # before keygen would search for an irreducible g of degree 400
+    def no_keygen(*args):
+        raise AssertionError("goppa_keygen called")
+
+    monkeypatch.setattr(cli, "goppa_keygen", no_keygen)
+    assert run(["census", "-m", "16", "-t", "400"]) == 2
+    assert "2^6400 syndromes is past the exhaustive limit" in capsys.readouterr().err
+
+
 def test_bench_record(capsys):
     assert run(["bench", "-m", "4", "-t", "3", "-w", "2", "--messages", "25", "--seed", "2"]) == 0
     record = _last_json(capsys)
@@ -173,6 +185,9 @@ HOSTILE = {
     "pk-bare-scheme": ("verify", "pk", b"scheme mcfsc", b"scheme"),
     "sig-bare-scheme": ("verify", "sig", b"scheme mcfsc", b"scheme"),
     "sk-m-99": ("sign", "sk", b"\nm 4", b"\nm 99"),
+    # w below 1 is refused as such, not as "less than t" or "must divide n"
+    "pk-w-0": ("verify", "pk", b"\nw 2", b"\nw 0"),
+    "sk-w-negative": ("sign", "sk", b"\nw 2", b"\nw -2"),
     "pk-m-99": ("verify", "pk", b"\nm 4", b"\nm 99"),
     "sk-P-not-bijective": ("sign", "sk", b"\nP ", b"\nP 0 0 "),
     "sk-P-negative": ("sign", "sk", b"\nP ", b"\nP -1 "),

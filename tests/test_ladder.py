@@ -27,7 +27,9 @@ def test_ladder_runs_its_checks_on_the_smallest_rungs(tmp_path, monkeypatch):
     monkeypatch.setattr(ladder, "RUNGS", [(4, 2), (5, 3)])
     out = tmp_path / "ladder.json"
     assert ladder.main(["--out", str(out)]) == 0
-    rungs = json.loads(out.read_text())["rungs"]
+    record = json.loads(out.read_text())
+    rungs = record["rungs"]
+    assert record["what"].startswith("For each rung (m, t) it times")  # the docstring's step list
     assert [(r["m"], r["t"]) for r in rungs] == [(4, 2), (5, 3)]
     assert {"forge_tilde", "recover_permutation", "cfs_verify_batch", "goppa_code", "from_parts",
             "decode_fail", "decode_t", "syndrome_poly", "poly_mod_inv", "poly_sqrt_mod_g",

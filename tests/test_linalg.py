@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from cfslab.schemes import cfs_keygen, cfs_sign, mcfsc_keygen
 from oracles import (
     as_matrix,
     from_bits,
+    inverse_by_rref,
     kernel_basis,
     mat_mul_by_set_bits,
     mat_vec_rows,
@@ -156,16 +158,24 @@ def test_kernel_basis_spans_kernel():
 # --- inverse() keeps its result on the matrix ----------------------------------
 
 
-def counting_rref(monkeypatch):
+def counting_eliminations(monkeypatch):
+    """The `_basis` calls that `inverse` makes; the rank tests of `rank` and
+    `rand_invertible` go through the same kernel and are not counted."""
     calls = []
-    rref = linalg._rref
-    monkeypatch.setattr(linalg, "_rref", lambda *a: calls.append(a) or rref(*a))
+    basis = linalg._basis
+
+    def counted(rows):
+        if sys._getframe(1).f_code is linalg.inverse.__code__:
+            calls.append(rows)
+        return basis(rows)
+
+    monkeypatch.setattr(linalg, "_basis", counted)
     return calls
 
 
 def test_inverse_of_singular_is_none(monkeypatch):
     # "singular" is kept too: the second call eliminates nothing
-    calls = counting_rref(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     singular = BitMatrix(2, 2, [0b11, 0b11])
     assert inverse(singular) is None and inverse(singular) is None
     assert len(calls) == 1
@@ -174,7 +184,7 @@ def test_inverse_of_singular_is_none(monkeypatch):
 @pytest.mark.parametrize("r", [1, 7, 40, 144])
 def test_inverse_is_eliminated_once_and_kept(monkeypatch, r):
     s = BitMatrix(r, r, rand_invertible(r, random.Random(r))._rows)  # nothing cached
-    calls = counting_rref(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     inv = inverse(s)
     assert inverse(s) is inv and len(calls) == 1
     assert mat_mul(s, inv) == BitMatrix.identity(r)
@@ -184,7 +194,7 @@ def test_inverse_is_eliminated_once_and_kept(monkeypatch, r):
 def test_rand_invertible_leaves_the_inverse_to_the_secret_key(monkeypatch):
     # a draw is tested by its rank; the secret key's check inverts the one S
     # it keeps, once, and signing reads S^-1 from S
-    calls = counting_rref(monkeypatch)
+    calls = counting_eliminations(monkeypatch)
     s = rand_invertible(40, random.Random(41))
     assert calls == [] and s._inverse is None
     sk, _ = cfs_keygen(5, 3, random.Random(5))
@@ -192,6 +202,43 @@ def test_rand_invertible_leaves_the_inverse_to_the_secret_key(monkeypatch):
     for i in range(3):
         cfs_sign(b"once %d" % i, sk)
     assert len(calls) == 1
+
+
+def planted_singular(rows, rng):
+    """Four singular matrices from r >= 3 rows: a zero row, a repeated row,
+    a row that is the XOR of two others, and a zero column."""
+    r = len(rows)
+    i, j, k = rng.sample(range(r), 3)
+    zero_row, repeated, summed = list(rows), list(rows), list(rows)
+    zero_row[i] = 0
+    repeated[i] = rows[j]
+    summed[i] = rows[j] ^ rows[k]
+    zero_column = [row & ~(1 << i) for row in rows]
+    return [zero_row, repeated, summed, zero_column]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 8, 15, 40, 72, 144])
+def test_inverse_matches_row_reduction(r):
+    # bit for bit the inverse that [S | I] reduced over S's columns gives,
+    # and None exactly where that finds fewer than r pivots
+    for seed in range(12 if r < 72 else 4):
+        rng = random.Random(seed)
+        rows = [rng.getrandbits(r) for _ in range(r)]
+        cases = [rows, rand_invertible(r, rng)._rows if r else []]
+        cases += planted_singular(rows, rng) if r >= 3 else []
+        for case in cases:
+            expected = inverse_by_rref(BitMatrix(r, r, case))
+            got = inverse(BitMatrix(r, r, case))
+            assert got == expected
+            if got is not None:
+                assert mat_mul(BitMatrix(r, r, case), got) == BitMatrix.identity(r)
+
+
+def test_inverse_refuses_every_planted_singular_matrix():
+    rng = random.Random(26)
+    for r in (3, 8, 40):
+        for case in planted_singular(rand_invertible(r, rng)._rows, rng):
+            assert inverse(BitMatrix(r, r, case)) is None is inverse_by_rref(BitMatrix(r, r, case))
 
 
 @pytest.mark.parametrize("r", [1, 2, 8, 15, 40, 72, 144])
@@ -254,8 +301,8 @@ def test_rank_widens_a_window_that_comes_up_short(monkeypatch, r, c, full):
     rows.append(rng.getrandbits(c) >> 4 * r << 4 * r if full else rows[0] ^ rows[-1])
     mat = BitMatrix(r, c, rows)
     calls = []
-    basis_rank = linalg._basis_rank
-    monkeypatch.setattr(linalg, "_basis_rank", lambda rows: calls.append(rows) or basis_rank(rows))
+    basis = linalg._basis
+    monkeypatch.setattr(linalg, "_basis", lambda rows: calls.append(rows) or basis(rows))
     assert rank(mat) == rank_by_rref(mat) == (r if full else r - 1)
     assert len(calls) >= 3
 

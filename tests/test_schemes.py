@@ -266,6 +266,13 @@ def test_mcfsc_keygen_parameters():
         SCHEMES["mcfsc"].from_parts(code, Permutation.identity(16), w=3)
 
 
+@pytest.mark.parametrize("keygen", [mcfsc_keygen, tilde_keygen], ids=["mcfsc", "tilde"])
+@pytest.mark.parametrize("w", [0, -2])
+def test_block_count_below_one_is_refused_as_such(keygen, w):
+    with pytest.raises(BadParameters, match=f"^block count w={w} must be at least 1$"):
+        keygen(4, 3, w, random.Random(1))
+
+
 def test_mcfsc_public_matrix_has_no_scrambler(mcfsc_keys):
     sk, pk = mcfsc_keys
     assert pk.h_pub == sk.code.permuted_h(sk.perm) == permute_columns(sk.code.h, sk.perm)
