@@ -185,7 +185,7 @@ HOSTILE = {
     "pk-bare-scheme": ("verify", "pk", b"scheme mcfsc", b"scheme"),
     "sig-bare-scheme": ("verify", "sig", b"scheme mcfsc", b"scheme"),
     "sk-m-99": ("sign", "sk", b"\nm 4", b"\nm 99"),
-    # w below 1 is refused as such, not as "less than t" or "must divide n"
+    # a block count below 1
     "pk-w-0": ("verify", "pk", b"\nw 2", b"\nw 0"),
     "sk-w-negative": ("sign", "sk", b"\nw 2", b"\nw -2"),
     "pk-m-99": ("verify", "pk", b"\nm 4", b"\nm 99"),
