@@ -26,8 +26,10 @@ For each rung (m, t) it times, on this checkout's `src/`, REPEAT times each:
   (`decode_t`), each of which must come back exactly; then Patterson's five
   stages over the failing batch, each stage over the whole batch:
   `syndrome_poly`, `poly_mod_inv`, `poly_sqrt_mod_g`, `partial_euclid` and
-  `root_mask`.  Composed as `patterson_decode` composes them, the stages
-  must give its verdict on every syndrome of both batches.
+  `root_mask`.  Composed as `patterson_decode` composes them, with the
+  locator between the last two from its own untimed helper
+  (`goppa._locator`), the stages must give its verdict on every syndrome
+  of both batches.
 - the code-based hash, on one mcfsc key and one tilde key (regular encoder,
   md-stopped inner hash) per rung from the same seed, with w = 2 (w = 1 at
   t = 2, since w < t), and one fixed 8 KiB message: `md_final_state`,
@@ -119,7 +121,7 @@ def patterson_stages(code: goppa.GoppaCode, batch: list, times: dict) -> list:
     taus = stage("poly_sqrt_mod_g", gf2m.poly_sqrt_mod_g,
                  [(inv + x, g, code._sqrt_x) for inv in inverses])
     pairs = stage("partial_euclid", gf2m.partial_euclid, [(g, tau, t // 2) for tau in taus])
-    locators = [u * u + x * (v * v) for u, v in pairs]
+    locators = [goppa._locator(u, v) for u, v in pairs]
     masks = stage("root_mask", code.root_mask, [(sigma,) for sigma in locators])
     verdicts = []
     for s, sigma, mask in zip(batch, locators, masks):

@@ -82,6 +82,14 @@ class GoppaCode:
         # sqrt(x) mod g, precomputed once for the decoder
         self._sqrt_x = sqrt_x_mod(g)
         self._root_table = self._alpha_multiples(planes)
+        # root_mask's plane OR: per halving, the width of the planes kept
+        # and its mask, made once so that a decode builds no mask
+        self._halvings = []
+        kept = self.m
+        while kept > 1:
+            kept = (kept + 1) // 2
+            self._halvings.append((kept * self.n, (1 << kept * self.n) - 1))
+        self._syndrome_map = self._syndrome_entries()
 
     def _planes(self, support, blocks: int) -> list[list[int]]:
         """The m bit planes of Y_j = x_i^j / g(x_i) for j < blocks, computed
@@ -155,7 +163,9 @@ class GoppaCode:
         every position at once, bit-sliced: coefficient c of x^j adds
         alpha^s * Y_j for each set bit s of c, for every j from 0 to t.
         Since g(x_i) != 0, the positions whose m planes are all zero are
-        the roots.
+        the roots.  The m planes are ORed together by halving: the upper
+        half is shifted onto the lower, ceil(k/2) planes kept of k (an odd
+        count keeps its middle plane as it is), so ceil(log2 m) steps.
         """
         if sigma.degree > self.t:
             raise ValueError(f"degree {sigma.degree} is above t = {self.t}")
@@ -165,11 +175,31 @@ class GoppaCode:
                 low = c & -c
                 acc ^= entry[low.bit_length() - 1]
                 c ^= low
-        n = self.n
-        nonzero = acc
-        for b in range(1, self.m):
-            nonzero |= acc >> (b * n)
-        return ~nonzero & self._all_positions
+        for width, low in self._halvings:
+            acc = acc >> width | acc & low
+        return acc ^ self._all_positions
+
+    def _syndrome_entries(self) -> list[int]:
+        """The syndrome map `_syndrome_poly` reads: one int per syndrome bit,
+        the coefficients of S(x) that bit adds, packed m bits apiece
+        (coefficient j at bit offset j*m).
+
+        Bit b of the field element s_u = sum x_i^u / g(x_i) is syndrome bit
+        u*m + b.  It stands for alpha^b, and s_u enters S_j with the factor
+        g_(j+1+u) (see `_syndrome_poly`), so entry u*m + b holds
+        g_(j+1+u) * alpha^b at coefficient j, for j + 1 + u <= t.
+        """
+        m, t = self.m, self.t
+        exp, log, g = self.field._exp, self.field._log, self.g.coeffs
+        entries = []
+        for u in range(t):
+            for b in range(m):
+                entry = 0
+                for j, c in enumerate(g[u + 1 :]):
+                    if c:
+                        entry |= exp[log[c] + b] << (j * m)
+                entries.append(entry)
+        return entries
 
     def _syndrome_poly(self, s: BitVector) -> Poly:
         """Convert packed syndrome bits to sum_{i in e} 1/(x - x_i) mod g.
@@ -177,11 +207,18 @@ class GoppaCode:
         The raw bits group into t field elements s_u = sum x_i^u / g(x_i);
         the classical syndrome polynomial coefficients are the triangular
         combination S_j = sum_u g_{j+1+u} * s_u, which is coefficient j + t
-        of g(x) * sum_u s_u x^(t-1-u).
+        of g(x) * sum_u s_u x^(t-1-u).  That combination is GF(2)-linear in
+        the bits, so S(x) is the XOR of the syndrome map's entries at the
+        set bits of s, one XOR per set bit and no field product.
         """
-        m, t, bits = self.m, self.t, s.to_int()
-        raw = [(bits >> (u * m)) & (self.field.order - 1) for u in reversed(range(t))]
-        return _poly(self.field, list((self.g * _poly(self.field, raw)).coeffs[t:]))
+        bits, entries = s.to_int(), self._syndrome_map
+        acc = 0
+        while bits:
+            low = bits & -bits
+            acc ^= entries[low.bit_length() - 1]
+            bits ^= low
+        m, mask = self.m, self.field.order - 1
+        return _poly(self.field, [acc >> (j * m) & mask for j in range(self.t)])
 
     def __repr__(self) -> str:
         return f"GoppaCode(m={self.m}, t={self.t}, n={self.n})"
@@ -245,6 +282,17 @@ def goppa_keygen(m: int, t: int, rng) -> GoppaCode:
             return code
 
 
+def _locator(u: Poly, v: Poly) -> Poly:
+    """Patterson's error locator sigma = u^2 + x * v^2, by squaring
+    coefficients: in characteristic 2 a square keeps no cross terms, so
+    sigma_(2i) = u_i^2 and sigma_(2i+1) = v_i^2."""
+    exp, log = u.field._exp, u.field._log
+    sigma = [0] * (2 * max(len(u.coeffs), len(v.coeffs)))
+    sigma[0 : 2 * len(u.coeffs) : 2] = [exp[2 * log[c]] if c else 0 for c in u.coeffs]
+    sigma[1 : 2 * len(v.coeffs) : 2] = [exp[2 * log[c]] if c else 0 for c in v.coeffs]
+    return _poly(u.field, sigma)
+
+
 def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector | None:
     """Error vector of weight <= t with the given syndrome, or None.
 
@@ -272,7 +320,7 @@ def patterson_decode(code: GoppaCode, s: BitVector) -> BitVector | None:
     # (0, 1) and sigma = x
     tau = poly_sqrt_mod_g(t_poly + x, g, code._sqrt_x)
     u, v = partial_euclid(g, tau, t // 2)
-    locator = u * u + x * (v * v)
+    locator = _locator(u, v)
     mask = code.root_mask(locator)
     if mask.bit_count() != locator.degree:
         return None

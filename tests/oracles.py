@@ -1,6 +1,7 @@
 """Plain constructions that the tests state facts with and `cfslab` itself
 never needs: vectors from bit strings, the transpose, the row-parity matrix
-product, the per-position Goppa parity-check build, column permutation by
+product, the per-position Goppa parity-check build, the syndrome polynomial
+by a polynomial product, column permutation by
 picking columns, permutation matrices, kernel bases, rank by an XOR basis
 and the random invertible matrix it accepts, a quadratic with no root in
 the field, SHA-256 in counter mode one block at a time, and the verifier as
@@ -78,6 +79,15 @@ def parity_check_rows(g: Poly, support) -> list[int]:
             values[zero] = 0
         rows += transpose_bits(values, m)
     return rows
+
+
+def syndrome_poly_by_product(code, s: BitVector) -> Poly:
+    """Reference for `GoppaCode._syndrome_poly`: the t field elements s_u of
+    the syndrome bits (bits u*m .. u*m + m - 1), and S_j = sum_u g_(j+1+u) *
+    s_u read off as coefficients t and up of g(x) * sum_u s_u x^(t-1-u)."""
+    m, t, bits = code.m, code.t, s.to_int()
+    raw = [(bits >> (u * m)) & (code.field.order - 1) for u in reversed(range(t))]
+    return Poly(code.field, (code.g * Poly(code.field, raw)).coeffs[t:])
 
 
 def permute_columns(mat: BitMatrix, p: Permutation) -> BitMatrix:

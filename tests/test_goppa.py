@@ -10,13 +10,22 @@ from cfslab.gf2m import GF2m, Poly, frobenius_mod, partial_euclid, poly_mod_inv,
 from cfslab.goppa import (
     GoppaCode,
     _is_irreducible,
+    _locator,
     _random_monic_poly,
     decodable_census,
     goppa_keygen,
     patterson_decode,
 )
 from cfslab.linalg import BitVector, Permutation, mat_mul, mat_vec, rank
-from oracles import as_matrix, kernel_basis, parity_check_rows, permute_columns, rootless_quadratic
+from cfslab.metering import count_operations
+from oracles import (
+    as_matrix,
+    kernel_basis,
+    parity_check_rows,
+    permute_columns,
+    rootless_quadratic,
+    syndrome_poly_by_product,
+)
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +211,7 @@ def reference_locator(code, s):
     the decoder's branch-free path (tau = 0 through the stopped Euclid) is
     checked against an answer that does not take it."""
     x = Poly.x(code.field)
-    t_poly = poly_mod_inv(code._syndrome_poly(s), code.g)
+    t_poly = poly_mod_inv(syndrome_poly_by_product(code, s), code.g)
     if t_poly == x:
         return x
     tau = poly_sqrt_mod_g(t_poly + x, code.g, code._sqrt_x)
@@ -438,6 +447,105 @@ def test_decode_at_m16_t9():
     for _ in range(3):
         e = BitVector.from_indices(code.n, rng.sample(range(code.n), 9))
         assert patterson_decode(code, mat_vec(code.h, e)) == e
+
+
+# --- the syndrome map, the squared locator and the halving plane OR --------
+
+SMALL_MAP_PARAMS = [(3, 2), (4, 2), (4, 3), (5, 3)]
+RANDOM_MAP_PARAMS = [(6, 4), (8, 4), (10, 4), (10, 6), (12, 8), (16, 9)]
+
+
+@pytest.mark.parametrize("m,t", SMALL_MAP_PARAMS, ids=[f"m{m}t{t}" for m, t in SMALL_MAP_PARAMS])
+def test_syndrome_map_matches_product_on_every_syndrome(m, t):
+    code, _ = irreducible_code(m, t, 5000 + 31 * m + t)
+    r = code.n_minus_k
+    for value in range(1 << r):
+        s = BitVector(r, value)
+        assert code._syndrome_poly(s) == syndrome_poly_by_product(code, s)
+
+
+@pytest.mark.parametrize("m,t", RANDOM_MAP_PARAMS, ids=[f"m{m}t{t}" for m, t in RANDOM_MAP_PARAMS])
+def test_syndrome_map_matches_product_on_random_syndromes(m, t):
+    # the map depends on g alone, so at m = 16 a 256-element support keeps
+    # the build small; then a non-monic g, and a strict subset of the support
+    rng = random.Random(5100 + 31 * m + t)
+    code, _ = irreducible_code(m, t, 5200 + 31 * m + t, omit=(1 << m) - 256 if m > 12 else 0)
+    scaled = GoppaCode(code.g.scale(rng.randrange(2, 1 << m)), code.support)
+    part = GoppaCode(code.g, code.support[: code.n // 2])
+    r = code.n_minus_k
+    # every single bit, so every entry of the map, then random syndromes
+    syndromes = [BitVector(r, 1 << i) for i in range(r)]
+    syndromes += [BitVector(r, rng.getrandbits(r)) for _ in range(500)]
+    for c in (code, scaled, part):
+        for s in syndromes:
+            assert c._syndrome_poly(s) == syndrome_poly_by_product(c, s)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 10, 16])
+def test_locator_by_squaring_matches_products(m):
+    field = GF2m(m)
+    x = Poly.x(field)
+    rng = random.Random(5300 + m)
+    # u = 0, v = 0, both, deg u = deg v + 1 (the degree Patterson's t even
+    # gives), deg v = deg u, deg v above deg u
+    degrees = [(-1, -1), (-1, 0), (-1, 3), (0, -1), (4, -1), (1, 0), (3, 2), (5, 4), (2, 2), (0, 4)]
+    for du, dv in degrees:
+        for _ in range(20):
+            u = random_poly_of_degree(field, du, rng)
+            v = random_poly_of_degree(field, dv, rng)
+            sigma = _locator(u, v)
+            assert sigma == u * u + x * (v * v)
+            assert sigma.degree == max(2 * u.degree, 2 * v.degree + 1, -1)
+    # zero coefficients inside u and v
+    u = Poly(field, (0, 1, 0, 0, field.order - 1))
+    v = Poly(field, (1, 0, 0, 1))
+    assert _locator(u, v) == u * u + x * (v * v)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_root_mask_matches_brute_force_at_every_m(m):
+    # ceil(log2 m) halvings; an odd plane count keeps its middle plane for
+    # the next step (m = 5: 5 -> 3 -> 2 -> 1 planes).  Past m = 9 a
+    # 512-element support keeps the brute force small.
+    t = min(m, 4)
+    n = min(1 << m, 512)
+    code, _ = irreducible_code(m, t, 5400 + m, omit=(1 << m) - n)
+    assert len(code._halvings) == (m - 1).bit_length()
+    rng = random.Random(5500 + m)
+    for d in range(-1, t + 1):
+        for _ in range(8):
+            f = random_poly_of_degree(code.field, d, rng)
+            found = BitVector(code.n, code.root_mask(f)).support()
+            assert list(found) == reference_roots(f, code.support)
+    # locators that split on the support: every root found
+    for d in range(1, t + 1):
+        for _ in range(8):
+            where = rng.sample(range(code.n), d)
+            f = Poly(code.field, (rng.randrange(1, code.field.order),))
+            for i in where:
+                f = f * Poly(code.field, (code.support[i], 1))
+            assert BitVector(code.n, code.root_mask(f)).support() == tuple(sorted(where))
+
+
+def test_decode_ticks_matvecs_only_for_its_recheck():
+    # the syndrome polynomial comes from the map, not from a product by H,
+    # so a decode that fails before the re-check ticks no matvec at all
+    code = goppa_keygen(5, 3, random.Random(5600))
+    rng = random.Random(5601)
+    r = code.n_minus_k
+    failed = 0
+    while failed < 20:
+        with count_operations() as ops:
+            e = patterson_decode(code, BitVector(r, rng.getrandbits(r)))
+        if e is None:
+            assert ops.as_dict() == {"compressions": 0, "matvecs": 0, "decode_calls": 1}
+            failed += 1
+    for _ in range(20):
+        e = BitVector.from_indices(code.n, rng.sample(range(code.n), rng.randrange(1, 4)))
+        s = mat_vec(code.h, e)
+        with count_operations() as ops:
+            assert patterson_decode(code, s) == e
+        assert ops.as_dict() == {"compressions": 0, "matvecs": 1, "decode_calls": 1}
 
 
 # --- the bit-sliced build against the per-position exp/log build ------------
