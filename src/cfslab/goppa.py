@@ -26,7 +26,17 @@ alpha^s times the m planes of Y_j, for every j <= t and s < m, is
 precomputed once per code, and a locator's value at every support position
 is then a handful of big-int XORs, every coefficient read the same way
 (`GoppaCode.root_mask`, after McBits' bit-sliced root search).  The table
-holds (t+1)*m entries of m*n bits, 20 MiB at m=16, t=9.
+holds (t+1)*m entries of m*n bits, 20 MiB at m=16, t=9.  A position is a
+root when all m of its planes are zero; the planes are ORed together by
+halving, the upper half shifted onto the lower, so in ceil(log2 m) steps.
+
+The syndrome polynomial is GF(2)-linear in the syndrome bits, so each code
+also keeps a syndrome map: one int per syndrome bit, the coefficients of
+S(x) that bit adds, packed m bits apiece.  A decode XORs the entries of the
+set bits (`GoppaCode._syndrome_poly`), with no field product and no
+product by H; Berlekamp-Massey's double-size syndrome map would have the
+same layout.  Patterson's locator u^2 + x*v^2 is built by squaring
+coefficients (`_locator`), with no polynomial product either.
 """
 
 from __future__ import annotations
@@ -187,19 +197,17 @@ class GoppaCode:
         Bit b of the field element s_u = sum x_i^u / g(x_i) is syndrome bit
         u*m + b.  It stands for alpha^b, and s_u enters S_j with the factor
         g_(j+1+u) (see `_syndrome_poly`), so entry u*m + b holds
-        g_(j+1+u) * alpha^b at coefficient j, for j + 1 + u <= t.
+        g_(j+1+u) * alpha^b at coefficient j, for j + 1 + u <= t: that is
+        g_(u+1) * alpha^b at coefficient 0 under entry (u+1)*m + b shifted
+        up one coefficient, built from u = t-1 down.
         """
-        m, t = self.m, self.t
-        exp, log, g = self.field._exp, self.field._log, self.g.coeffs
-        entries = []
-        for u in range(t):
-            for b in range(m):
-                entry = 0
-                for j, c in enumerate(g[u + 1 :]):
-                    if c:
-                        entry |= exp[log[c] + b] << (j * m)
-                entries.append(entry)
-        return entries
+        m = self.m
+        exp, log = self.field._exp, self.field._log
+        blocks, block = [], [0] * m
+        for c in reversed(self.g.coeffs[1:]):  # g_(u+1) for u = t-1 .. 0
+            block = [e << m | (exp[log[c] + b] if c else 0) for b, e in enumerate(block)]
+            blocks.append(block)
+        return [entry for block in reversed(blocks) for entry in block]
 
     def _syndrome_poly(self, s: BitVector) -> Poly:
         """Convert packed syndrome bits to sum_{i in e} 1/(x - x_i) mod g.
