@@ -23,7 +23,10 @@ number of pairs per workload; per workload and metric (BENCHMARK.json's
 end-to-end metrics, or the ladder's) each side's median and quartiles
 (inclusive method), the change's relative median change, the pairs it won
 (ties count for neither side), the bound, the spread (the larger side's
-interquartile range over its median) and a verdict; attempted and failed
+interquartile range over its median) and a verdict: 'regression' if the
+median is worse by more than the bound, 'unresolved' if the spread exceeds
+the bound and not every change run beats every parent run, else 'within
+bound' (a ladder metric, with no bound, gets none); attempted and failed
 operations; whether every perfbench run's prefix fingerprint and exact
 counts agree; and, with --claim, whether the claim is met: the median better
 by at least the claimed fraction, the change winning at least nine tenths of
@@ -50,19 +53,6 @@ LADDER = "ladder"
 CLAIM_TARGET = (
     "median at least {:.0%} better, change wins at least 9 of 10 pairs, "
     "median gap larger than the parent's interquartile range"
-)
-HOW = (
-    "alternating parent/change pairs, odd pairs parent first; each pair runs the workloads "
-    "in turn, each workload on both sides back to back; each side runs from its own clean "
-    "checkout (git archive); perfbench: last stdout line = result, the 'report {...}' line = "
-    "report; ladder: each step's minimum at each rung is a metric <step>@m<m>t<t>, lower "
-    "better, no bound, no verdict, skipped where one side does not report it. "
-    "summary: per workload and end-to-end metric, each side's median and quartiles "
-    "(inclusive method), the change's relative median change, the pairs the change won, "
-    "the bound from BENCHMARK.json, spread = the larger of the two sides' interquartile "
-    "range over its median, and a verdict: 'regression' if the median is worse by more "
-    "than the bound, 'unresolved' if the spread exceeds the bound and not every change run "
-    "beats every parent run, else 'within bound'."
 )
 
 
@@ -240,7 +230,9 @@ def main(argv=None) -> int:
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.update({"label": args.label, "command": "python3 perfbench/run.py --workload <name> "
                 "--seed <seed> --seconds <seconds> --trace 0; ladder: python3 bench/ladder.py "
-                "--out <file>", "how": HOW})
+                "--out <file>",
+                # the docstring from "Each revision" on, on one line
+                "how": " ".join(__doc__.split("\n\n", 2)[2].split())})
     for key, value in (
         ("revisions", commits), ("seconds", args.seconds),
         ("pairs", {w: args.pairs for w in workloads}), ("summary", summary),

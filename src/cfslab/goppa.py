@@ -24,19 +24,21 @@ The decoder's root search reads the same planes back, and one block more:
 the build takes Y_j = X * Y_(j-1) one step past H, to Y_t = x^t / g(x).
 alpha^s times the m planes of Y_j, for every j <= t and s < m, is
 precomputed once per code, and a locator's value at every support position
-is then a handful of big-int XORs, every coefficient read the same way
-(`GoppaCode.root_mask`, after McBits' bit-sliced root search).  The table
-holds (t+1)*m entries of m*n bits, 20 MiB at m=16, t=9.  A position is a
-root when all m of its planes are zero; the planes are ORed together by
-halving, the upper half shifted onto the lower, so in ceil(log2 m) steps.
+is then a handful of big-int XORs, one `linalg._xor_selected` call per
+coefficient (`GoppaCode.root_mask`, after McBits' bit-sliced root search).
+The table holds (t+1)*m entries of m*n bits, 20 MiB at m=16, t=9.  A
+position is a root when all m of its planes are zero; the planes are ORed
+together by halving, the upper half shifted onto the lower, so in
+ceil(log2 m) steps.
 
 The syndrome polynomial is GF(2)-linear in the syndrome bits, so each code
 also keeps a syndrome map: one int per syndrome bit, the coefficients of
 S(x) that bit adds, packed m bits apiece.  A decode XORs the entries of the
-set bits (`GoppaCode._syndrome_poly`), with no field product and no
-product by H; Berlekamp-Massey's double-size syndrome map would have the
-same layout.  Patterson's locator u^2 + x*v^2 is built by squaring
-coefficients (`_locator`), with no polynomial product either.
+set bits through `_xor_selected` (`GoppaCode._syndrome_poly`), with no
+field product and no product by H; Berlekamp-Massey's double-size syndrome
+map would have the same layout and the same reader.  Patterson's locator
+u^2 + x*v^2 is built by squaring coefficients (`_locator`), with no
+polynomial product either.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .gf2m import (
     sliced_mul,
     sqrt_x_mod,
 )
-from .linalg import BitMatrix, BitVector, Permutation, mat_vec, rank, transpose_bits
+from .linalg import BitMatrix, BitVector, Permutation, _xor_selected, mat_vec, rank, transpose_bits
 from .metering import tick_decode
 
 
@@ -171,7 +173,8 @@ class GoppaCode:
 
         sigma(x_i) / g(x_i) = sum_j sigma_j * x_i^j / g(x_i) is computed at
         every position at once, bit-sliced: coefficient c of x^j adds
-        alpha^s * Y_j for each set bit s of c, for every j from 0 to t.
+        alpha^s * Y_j for each set bit s of c, for every j from 0 to t,
+        one `_xor_selected` call per coefficient.
         Since g(x_i) != 0, the positions whose m planes are all zero are
         the roots.  The m planes are ORed together by halving: the upper
         half is shifted onto the lower, ceil(k/2) planes kept of k (an odd
@@ -181,10 +184,7 @@ class GoppaCode:
             raise ValueError(f"degree {sigma.degree} is above t = {self.t}")
         acc = 0
         for entry, c in zip(self._root_table, sigma.coeffs):
-            while c:
-                low = c & -c
-                acc ^= entry[low.bit_length() - 1]
-                c ^= low
+            acc ^= _xor_selected(entry, c)
         for width, low in self._halvings:
             acc = acc >> width | acc & low
         return acc ^ self._all_positions
@@ -217,14 +217,10 @@ class GoppaCode:
         combination S_j = sum_u g_{j+1+u} * s_u, which is coefficient j + t
         of g(x) * sum_u s_u x^(t-1-u).  That combination is GF(2)-linear in
         the bits, so S(x) is the XOR of the syndrome map's entries at the
-        set bits of s, one XOR per set bit and no field product.
+        set bits of s (`_xor_selected`), one XOR per set bit and no field
+        product.
         """
-        bits, entries = s.to_int(), self._syndrome_map
-        acc = 0
-        while bits:
-            low = bits & -bits
-            acc ^= entries[low.bit_length() - 1]
-            bits ^= low
+        acc = _xor_selected(self._syndrome_map, s.to_int())
         m, mask = self.m, self.field.order - 1
         return _poly(self.field, [acc >> (j * m) & mask for j in range(self.t)])
 

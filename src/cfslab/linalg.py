@@ -36,9 +36,10 @@ holds ~3.3 MiB and the transpose ~1.2 MiB more while it runs.
 One GF(2) elimination, an XOR basis keyed by leading bit (`_basis`), serves
 `rank`, `rand_invertible` and `inverse`; none eliminates over all n columns
 of H.  `inverse` feeds it S beside the identity and reads S^-1 off by
-back-substitution.  It keeps its result on the matrix, "singular" included,
-so S^-1 lives on S alone: the secret key's invertibility check computes it
-once, and every signature reads it from there.
+back-substitution, each row XORed with the finished rows its pivots below
+select (`_xor_selected`).  It keeps its result on the matrix, "singular"
+included, so S^-1 lives on S alone: the secret key's invertibility check
+computes it once, and every signature reads it from there.
 
 `mat_vec` reads a matrix through a table: a matrix of at most 256 columns
 (every scrambler inverse S^-1, H and H_pub at m <= 8) gets "four
@@ -47,10 +48,12 @@ product and cached on the matrix: entry b of table k is the XOR of the
 columns 8k + j for the set bits j of b, so a product is one XOR per byte
 of v.  Costs: ceil(cols/8) tables of 256 ints of `rows` bits, ~0.2 MiB at
 144 x 144.  A wider matrix (H and H_pub at m >= 9) is read through its
-column list, and a product is one XOR per set bit of v, as cheap as the
-sparse error vectors and regular words it meets.  `mat_mul` reads the
-rows of b through the same kind of tables, over 6 rows each, built one at
-a time and not kept.
+column list by `_xor_selected`, one XOR per set bit of v, as cheap as the
+sparse error vectors and regular words it meets.  `_xor_selected` is the
+one set-bit reader: H's columns, the rows of S^-1 in `inverse`, and
+`goppa`'s syndrome map and root table are all read through it.  `mat_mul`
+reads the rows of b through the same kind of tables, over 6 rows each,
+built one at a time and not kept.
 
 `Permutation(mapping)` checks the mapping and builds its inverse in one
 pass, one write per entry.
@@ -390,6 +393,17 @@ def _chunk_tables(vecs: list[int], bits: int) -> Iterator[list[int]]:
         yield table
 
 
+def _xor_selected(table, bits: int) -> int:
+    """The XOR of table[i] over the set bits i of bits, one XOR per set bit:
+    a GF(2)-linear map stored as the image of each input bit, applied."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= table[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
 def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
     """H * v^T as a length-rows(H) vector: the XOR of the columns that v
     selects, read through the matrix's cached chunk tables or columns."""
@@ -406,11 +420,7 @@ def mat_vec(mat: BitMatrix, v: BitVector) -> BitVector:
         for chunk, byte in zip(table, bits.to_bytes(len(table), "little")):
             acc ^= chunk[byte]
     else:
-        cols = mat.columns()
-        while bits:
-            low = bits & -bits
-            acc ^= cols[low.bit_length() - 1]
-            bits ^= low
+        acc = _xor_selected(mat.columns(), bits)
     return _bitvector(mat.rows, acc)
 
 
@@ -476,12 +486,8 @@ def inverse(mat: BitMatrix) -> BitMatrix | None:
             out = []  # out[b]: bit n + b, and row b of S^-1 below it
             for b in range(n):
                 row = basis[n + 1 + b]
-                below = row >> n ^ 1 << b  # the pivots below this one that row holds
-                while below:
-                    bit = below & -below
-                    row ^= out[bit.bit_length() - 1]
-                    below ^= bit
-                out.append(row)
+                # cleared of the pivots below this one that row holds
+                out.append(row ^ _xor_selected(out, row >> n ^ 1 << b))
             inv = BitMatrix(n, n, [row ^ 1 << n + b for b, row in enumerate(out)])
         _set_inverse(mat, inv)
     return inv or None

@@ -12,7 +12,7 @@ nest; `count_operations` is the only public entry point:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 _active: list["OperationCount"] = []
 
@@ -26,11 +26,7 @@ class OperationCount:
     decode_calls: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "compressions": self.compressions,
-            "matvecs": self.matvecs,
-            "decode_calls": self.decode_calls,
-        }
+        return asdict(self)
 
 
 @contextmanager

@@ -497,6 +497,31 @@ def test_each_matrix_keeps_its_own_table(rows, cols):
             assert mat_vec(mat, v) == mat_vec_rows(mat, v)
 
 
+# --- the one set-bit reader, against a per-bit loop ----------------------------
+
+
+def xor_per_bit(table, bits):
+    acc = 0
+    for i in range(bits.bit_length()):
+        if bits >> i & 1:
+            acc ^= table[i]
+    return acc
+
+
+@pytest.mark.parametrize("length", [0, 1, 8, 9, 64, 65, 300])
+@pytest.mark.parametrize("width", [1, 8, 63, 64, 65, 1024, 65536])
+def test_xor_selected_matches_a_per_bit_loop(width, length):
+    rng = random.Random(width * 1009 + length)
+    table = [rng.getrandbits(width) for _ in range(length)]
+    values = [0, (1 << length) - 1, *(1 << i for i in range(length))]
+    values += [rng.getrandbits(length) for _ in range(20)]
+    # the table longer than bits: set bits in the low half only
+    values += [rng.getrandbits(length // 2) for _ in range(5)]
+    for table in (table, tuple(table)):
+        for bits in values:
+            assert linalg._xor_selected(table, bits) == xor_per_bit(table, bits)
+
+
 # --- mat_vec's invariants ----------------------------------------------------
 
 

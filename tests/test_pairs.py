@@ -135,3 +135,28 @@ def test_head_against_head(tmp_path):
     assert set(summary) == {m["name"] for m in bench["end_to_end"]}
     assert all(row["pairs"] == 1 for row in summary.values())
     assert doc["claim"]["seed7"]["pairs"] == 1
+
+
+def test_the_record_describes_itself_by_the_docstring(tmp_path, monkeypatch):
+    # main() on one made-up pair: no git, no perfbench run
+    def checkout(rev, into):
+        into.mkdir(parents=True)
+        (into / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        return rev
+
+    def run_once(tree, workload, seed, seconds):
+        result = {"metrics": {}, "attempted": 1, "failed": 0, "correct": True}
+        return {"returncode": 0, "result": result,
+                "report": {"prefix": {"fingerprint": "0" * 64, "counts": {}}}}
+
+    monkeypatch.setattr(pairs, "checkout", checkout)
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_how.json"
+    pairs.main(["--parent", "a", "--change", "b", "--label", "how", "--pairs", "1",
+                "--workload", "cfs-retry", "--out", str(out)])
+    how = json.loads(out.read_text())["how"]
+    assert how.startswith("Each revision is written with `git archive` into its own temporary")
+    assert how == " ".join(pairs.__doc__[pairs.__doc__.index("Each revision"):].split())
+    assert ("a verdict: 'regression' if the median is worse by more than the bound, "
+            "'unresolved' if the spread exceeds the bound and not every change run beats "
+            "every parent run, else 'within bound'") in how
