@@ -184,7 +184,7 @@ class GoppaCode:
             raise ValueError(f"degree {sigma.degree} is above t = {self.t}")
         acc = 0
         for entry, c in zip(self._root_table, sigma.coeffs):
-            acc ^= _xor_selected(entry, c)
+            acc = _xor_selected(entry, c, acc)
         for width, low in self._halvings:
             acc = acc >> width | acc & low
         return acc ^ self._all_positions

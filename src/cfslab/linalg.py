@@ -393,14 +393,14 @@ def _chunk_tables(vecs: list[int], bits: int) -> Iterator[list[int]]:
         yield table
 
 
-def _xor_selected(table, bits: int) -> int:
-    """The XOR of table[i] over the set bits i of bits, one XOR per set bit:
-    a GF(2)-linear map stored as the image of each input bit, applied."""
-    acc = 0
+def _xor_selected(table, bits: int, acc: int = 0) -> int:
+    """acc XOR table[i] over the set bits i of bits, taken from the top (1 << i
+    is shorter than -bits): a GF(2)-linear map, stored as each input bit's
+    image, applied.  A sum of maps passes itself as acc, one XOR fewer."""
     while bits:
-        low = bits & -bits
-        acc ^= table[low.bit_length() - 1]
-        bits ^= low
+        i = bits.bit_length() - 1
+        acc ^= table[i]
+        bits ^= 1 << i
     return acc
 
 
@@ -487,7 +487,7 @@ def inverse(mat: BitMatrix) -> BitMatrix | None:
             for b in range(n):
                 row = basis[n + 1 + b]
                 # cleared of the pivots below this one that row holds
-                out.append(row ^ _xor_selected(out, row >> n ^ 1 << b))
+                out.append(_xor_selected(out, row >> n ^ 1 << b, row))
             inv = BitMatrix(n, n, [row ^ 1 << n + b for b, row in enumerate(out)])
         _set_inverse(mat, inv)
     return inv or None

@@ -517,9 +517,11 @@ def test_xor_selected_matches_a_per_bit_loop(width, length):
     values += [rng.getrandbits(length) for _ in range(20)]
     # the table longer than bits: set bits in the low half only
     values += [rng.getrandbits(length // 2) for _ in range(5)]
+    start = rng.getrandbits(width)
     for table in (table, tuple(table)):
         for bits in values:
             assert linalg._xor_selected(table, bits) == xor_per_bit(table, bits)
+            assert linalg._xor_selected(table, bits, start) == start ^ xor_per_bit(table, bits)
 
 
 # --- mat_vec's invariants ----------------------------------------------------
